@@ -96,7 +96,7 @@ func TestRunTrace(t *testing.T) {
 		t.Fatal("trace has no counter snapshot")
 	}
 
-	// The serial quickstart path runs exactly one restart per iteration.
+	// The quickstart runs the default single restart per iteration.
 	if got, want := len(spans["generate/restart"]), len(spans["generate/iteration"]); got != want {
 		t.Errorf("restart spans = %d, want %d (one per iteration)", got, want)
 	}

@@ -24,8 +24,9 @@
 // in graphs on different goroutines — most commonly a weight leaf handed
 // out by snn.Projection.ParamLeaves — because concurrent Backward calls
 // both accumulate into its Grad tensor. Callers that parallelize must give
-// each goroutine its own leaves (the multi-restart engine in internal/core
-// does this by cloning the network per restart); autograd itself does not
+// each goroutine its own leaves or none (the multi-restart engine in
+// internal/core runs every restart on one leaf-free network clone, whose
+// weights enter each graph as fresh constants); autograd itself does not
 // lock.
 package autograd
 

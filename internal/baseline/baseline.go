@@ -199,11 +199,13 @@ func Random20(net *snn.Network, faults []fault.Fault, pool, steps int, density f
 // Adversarial17 runs the [17]/[19]-style generation: each dataset sample
 // is perturbed by flipping the input bits with the largest
 // loss-increasing gradients (a spike-domain FGSM analogue), then greedy
-// selection runs over the perturbed pool.
+// selection runs over the perturbed pool. All samples are perturbed on
+// one inference-mode clone of net, as in AdversarialPerturb.
 func Adversarial17(net *snn.Network, faults []fault.Fault, samples []*tensor.Tensor, labels []int, flipFrac float64, cfg Config) (*Result, error) {
+	inference := net.Clone()
 	candidates := make([]*tensor.Tensor, len(samples))
 	for i, s := range samples {
-		cand, err := AdversarialPerturb(net, s, labels[i], flipFrac)
+		cand, err := adversarialPerturb(inference, s, labels[i], flipFrac)
 		if err != nil {
 			return nil, err
 		}
@@ -214,8 +216,16 @@ func Adversarial17(net *snn.Network, faults []fault.Fault, samples []*tensor.Ten
 
 // AdversarialPerturb flips the flipFrac fraction of input bits with the
 // largest gradient magnitude of the classification loss with respect to
-// the input, in the loss-increasing direction.
+// the input, in the loss-increasing direction. It only reads the weights:
+// the gradient pass runs on an inference-mode clone of net (no weight
+// leaves), so nothing accumulates into the caller's weight gradients.
 func AdversarialPerturb(net *snn.Network, sample *tensor.Tensor, label int, flipFrac float64) (*tensor.Tensor, error) {
+	return adversarialPerturb(net.Clone(), sample, label, flipFrac)
+}
+
+// adversarialPerturb is AdversarialPerturb on a network the caller has
+// already cloned into inference mode.
+func adversarialPerturb(net *snn.Network, sample *tensor.Tensor, label int, flipFrac float64) (*tensor.Tensor, error) {
 	steps := sample.Dim(0)
 	frame := net.InputLen()
 	leaf := ag.Leaf(sample.Clone().Reshape(steps * frame))

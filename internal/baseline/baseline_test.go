@@ -173,6 +173,31 @@ func TestAdversarial17EndToEnd(t *testing.T) {
 	}
 }
 
+// Both adversarial entry points only read the weights: on a network in
+// training mode they must leave every weight leaf's gradient nil or zero.
+func TestAdversarialLeavesCallerGradientsZero(t *testing.T) {
+	net := toyNet(15)
+	leaves := net.ParamLeaves()
+	samples := randomPool(16, net, 4, 12, 0.4)
+	labels := make([]int, len(samples))
+	for i, s := range samples {
+		labels[i] = net.Predict(s)
+	}
+	faults := fault.Enumerate(net, fault.DefaultOptions())
+	must(Adversarial17(net, faults, samples, labels, 0.08, DefaultConfig()))
+	must(AdversarialPerturb(net, samples[0], labels[0], 0.1))
+	for i, l := range leaves {
+		if l.Grad == nil {
+			continue
+		}
+		for j, g := range l.Grad.Data() {
+			if g != 0 {
+				t.Fatalf("weight leaf %d: Grad[%d] = %g, want 0", i, j, g)
+			}
+		}
+	}
+}
+
 func TestAssembleSeparators(t *testing.T) {
 	net := toyNet(17)
 	a := tensor.Full(1, 3, 4)

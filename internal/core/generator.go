@@ -36,11 +36,11 @@ type IterationStats struct {
 	TotalActivated int
 	Stage1Loss     float64
 	// Restart is the index of the restart that won this iteration's
-	// multi-restart selection (0 on the serial path).
+	// multi-restart selection (always 0 with one restart).
 	Restart int
 	// RestartsRun is the number of restarts actually evaluated this
-	// iteration (1 on the serial path; may be < Config.Parallel.Restarts
-	// when the run was cancelled mid-iteration).
+	// iteration (Config.Parallel.Restarts, at least 1; fewer when the run
+	// was cancelled mid-iteration).
 	RestartsRun int
 }
 
@@ -95,13 +95,19 @@ func Generate(net *snn.Network, cfg Config) (*Result, error) {
 // partial result generated so far is returned, never an error, exactly
 // like hitting t_limit.
 //
-// With Config.Parallel.Restarts > 1 each iteration runs its restarts on a
-// bounded worker pool; see Parallel for the determinism contract (results
-// depend only on the seed, never on the worker count).
+// Every iteration runs Config.Parallel.Restarts optimizers (at least
+// one) on a bounded worker pool; see Parallel for the determinism
+// contract (results depend only on the seed, never on the worker count).
+//
+// Generation only reads the weights, so it runs on one clone of net taken
+// here. A clone is in inference mode (no weight leaves): no backward pass
+// computes weight gradients, nothing is written into the caller's
+// network, and the restarts can share the clone without racing.
 func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result, error) {
 	if net.HasFaultOverrides() {
 		return nil, fmt.Errorf("core: Generate requires a fault-free network, but %q carries fault overrides", net.Name)
 	}
+	net = net.Clone()
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(ctx, cfg.TimeLimit)
 	defer cancel()
@@ -134,12 +140,8 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 	tInMin := cfg.TInMin
 	if tInMin == 0 {
 		var err error
-		cctx, csp := obs.Start(ctx, "generate/calibrate")
-		if cfg.Parallel.enabled() {
-			tInMin, err = CalibrateTInMinParallel(cctx, net, &cfg, rng.Int63())
-		} else {
-			tInMin, err = CalibrateTInMin(net, &cfg, rng)
-		}
+		_, csp := obs.Start(ctx, "generate/calibrate")
+		tInMin, err = CalibrateTInMin(net, &cfg, rng)
 		csp.SetAttr("t_in_min", tInMin)
 		csp.End()
 		if err != nil {
@@ -171,36 +173,10 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 		ictx, isp := obs.Start(ctx, "generate/iteration")
 		isp.SetAttr("iteration", iter)
 
-		var winner restartOutcome
-		if cfg.Parallel.enabled() {
-			var err error
-			winner, err = runRestarts(ictx, net, &cfg, rng.Int63(), tInMin, tdMin, mask, target, offsets)
-			if err != nil {
-				isp.End()
-				return nil, err
-			}
-		} else {
-			// Serial legacy path: the single optimizer consumes the master
-			// RNG stream directly, reproducing historical outputs
-			// byte-for-byte.
-			var t0 time.Time
-			if obs.On() {
-				t0 = time.Now()
-			}
-			rctx, rsp := obs.Start(ictx, "generate/restart")
-			rsp.SetAttr("restart", 0)
-			opt := newChunkOptimizer(net, &cfg, rng, tInMin)
-			best, growths, err := runGrowthLoop(rctx, opt, &cfg, mask, tdMin, target, offsets)
-			rsp.SetAttr("growths", growths)
-			rsp.End()
-			if obs.On() {
-				obsRestartHist.Observe(time.Since(t0))
-			}
-			if err != nil {
-				isp.End()
-				return nil, err
-			}
-			winner = restartOutcome{opt: opt, best: best, growths: growths, run: 1}
+		winner, err := runRestarts(ictx, net, &cfg, rng, iter, tInMin, tdMin, mask, target, offsets)
+		if err != nil {
+			isp.End()
+			return nil, err
 		}
 		if winner.best.stim == nil {
 			isp.End()
@@ -208,7 +184,6 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 		}
 		if !cfg.DisableStage2 {
 			_, s2sp := obs.Start(ictx, "generate/stage2")
-			var err error
 			winner.best, err = winner.opt.runStage2(winner.best, offsets)
 			s2sp.End()
 			if err != nil {
@@ -274,8 +249,7 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 
 // runGrowthLoop runs stage 1 and the β-doubling duration growth of
 // Section V-C on one optimizer until a new target neuron activates, the
-// growth budget is exhausted, or ctx is cancelled. It is shared between
-// the serial path and every parallel restart worker.
+// growth budget is exhausted, or ctx is cancelled. Every restart runs it.
 func runGrowthLoop(ctx context.Context, opt *chunkOptimizer, cfg *Config, mask *LayerMask, tdMin float64, target map[int]bool, offsets []int) (stageOutcome, int, error) {
 	beta := cfg.Beta
 	growths := 0
@@ -398,9 +372,8 @@ const maxCalibrationDuration = 512
 // starts from one step and doubles until the optimization succeeds; if no
 // duration fully succeeds within the cap, it returns the duration that
 // achieved the lowest L1 (preferring shorter on ties), leaving the rest
-// to the full stage-1 optimization with its larger budget. This serial
-// form consumes the caller's RNG stream directly; see
-// CalibrateTInMinParallel for the concurrent, derived-stream variant.
+// to the full stage-1 optimization with its larger budget. It consumes
+// the caller's RNG stream directly.
 func CalibrateTInMin(net *snn.Network, cfg *Config, rng *rand.Rand) (int, error) {
 	budget := calibrationBudget(cfg)
 	bestT, bestL1 := maxCalibrationDuration, math.Inf(1)

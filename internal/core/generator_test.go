@@ -135,6 +135,26 @@ func TestGenerateDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// Generation only reads the weights: on a network in training mode it
+// must leave every weight leaf's gradient untouched (nil or all zero).
+func TestGenerateLeavesCallerGradientsZero(t *testing.T) {
+	net := smallNet(8)
+	leaves := net.ParamLeaves()
+	cfg := TestConfig()
+	cfg.Seed = 9
+	must(Generate(net, cfg))
+	for i, l := range leaves {
+		if l.Grad == nil {
+			continue
+		}
+		for j, g := range l.Grad.Data() {
+			if g != 0 {
+				t.Fatalf("weight leaf %d: Grad[%d] = %g after Generate, want 0", i, j, g)
+			}
+		}
+	}
+}
+
 func TestGenerateRespectsTimeLimit(t *testing.T) {
 	net := smallNet(10)
 	cfg := TestConfig()

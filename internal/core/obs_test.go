@@ -95,7 +95,8 @@ func TestObsGenerateSpanTree(t *testing.T) {
 }
 
 // TestObsParallelRestartSpans covers the multi-restart path: one restart
-// span per evaluated restart, parented under its iteration.
+// span per evaluated restart, and one calibration span recording the
+// calibrated T_in,min before the floor applies.
 func TestObsParallelRestartSpans(t *testing.T) {
 	rec := withObsRecorder(t)
 	net := smallNet(23)
@@ -112,8 +113,9 @@ func TestObsParallelRestartSpans(t *testing.T) {
 	if got := len(rec.SpansNamed("generate/restart")); got != wantRestarts {
 		t.Errorf("restart spans = %d, want Σ RestartsRun = %d", got, wantRestarts)
 	}
-	if got := len(rec.SpansNamed("generate/calibrate/candidate")); got == 0 {
-		t.Error("parallel calibration emitted no candidate spans")
+	calibrated, _ := spanByName(t, rec, "generate/calibrate").Attrs["t_in_min"].(int)
+	if max(calibrated, cfg.TInFloor) != res.TInMin {
+		t.Errorf("calibrate span t_in_min = %d (floor %d), but generation used %d", calibrated, cfg.TInFloor, res.TInMin)
 	}
 }
 

@@ -16,12 +16,13 @@ import (
 // straight-through estimator to obtain a binary stimulus, the SNN runs
 // differentiably, and Adam adjusts I_real against the stage loss.
 //
-// A chunkOptimizer is confined to one goroutine. The multi-restart engine
-// gives every restart its own optimizer AND its own inference-mode network
-// clone: a trained network's projections carry shared autograd weight
-// leaves (snn.Projection.ParamLeaves), and concurrent Backward passes
-// through a shared leaf would race on its Grad tensor. Network.Clone
-// drops the leaves, making concurrent RunGraph calls race-free.
+// A chunkOptimizer is confined to one goroutine, but the restarts of one
+// iteration share a single network: GenerateContext hands them its
+// inference-mode clone. A trained network's projections carry autograd
+// weight leaves (snn.Projection.ParamLeaves), and concurrent Backward
+// passes through a shared leaf would race on its Grad tensor.
+// Network.Clone drops the leaves, making concurrent RunGraph calls
+// race-free.
 type chunkOptimizer struct {
 	net   *snn.Network
 	cfg   *Config

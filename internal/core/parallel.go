@@ -4,108 +4,20 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/repro/snntest/internal/obs"
+	"github.com/repro/snntest/internal/pool"
 	"github.com/repro/snntest/internal/snn"
 )
 
-// Restart-engine telemetry: how many workers are mid-optimization right
-// now, and how long one restart's growth loop takes end to end. The
-// serial legacy path in GenerateContext feeds the same histogram so the
-// latency distribution is comparable across engine modes.
-var (
-	obsRestartInflight = obs.NewGauge("core_restart_inflight_workers")
-	obsRestartHist     = obs.NewTimingHistogram("core_restart_optimize_seconds")
-)
+// obsRestartHist times one restart's growth loop end to end.
+var obsRestartHist = obs.NewTimingHistogram("core_restart_optimize_seconds")
 
-// Worker-pool resource telemetry, shared by name with the fault
-// campaign's pool (the obs registry is idempotent, so both packages feed
-// the same series): pool size and unclaimed-queue depth as live gauges,
-// total in-fn busy time as a counter, and per-pool utilization — busy
-// time over workers × wall time — as a percentage gauge written when the
-// pool drains. Utilization is the signal that finally explains a 0.97×
-// "speedup": a pool that is mostly idle is contended or starved, not
-// compute-bound.
-var (
-	obsWorkerPoolSize = obs.NewGauge("worker_pool_size_workers")
-	obsWorkerBusy     = obs.NewCounter("worker_busy_micros_total")
-	obsWorkerUtil     = obs.NewGauge("worker_utilization_percent")
-	obsRestartQueue   = obs.NewGauge("core_restart_queue_depth")
-)
-
-// runIndexed executes fn(0..n-1) on a pool of the given number of worker
-// goroutines and blocks until every index has been processed. Each fn call
-// must write only to its own index-addressed slot; the pool imposes no
-// ordering, so determinism comes from the slots, never from completion
-// order.
-//
-// Work items are restarts or calibration candidates — coarse units that
-// run for seconds — so scheduling is a single atomic counter rather than
-// a channel: no per-item send/receive, no channel buffer sized to n, and
-// a workers<=1 call degenerates to a plain loop on the caller's
-// goroutine with no synchronization at all.
-func runIndexed(workers, n int, fn func(int)) {
-	if workers >= n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	on := obs.On()
-	var poolStart time.Time
-	var busyUS atomic.Int64
-	if on {
-		poolStart = time.Now()
-		obsWorkerPoolSize.Set(int64(workers))
-		obsRestartQueue.Set(int64(n))
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if on {
-					if d := int64(n) - next.Load(); d > 0 {
-						obsRestartQueue.Set(d)
-					} else {
-						obsRestartQueue.Set(0)
-					}
-					t0 := time.Now()
-					fn(i)
-					busyUS.Add(time.Since(t0).Microseconds())
-					continue
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if on {
-		busy := busyUS.Load()
-		obsWorkerBusy.Add(busy)
-		if capacity := time.Since(poolStart).Microseconds() * int64(workers); capacity > 0 {
-			obsWorkerUtil.Set(busy * 100 / capacity)
-		}
-		obsWorkerPoolSize.Set(0)
-		obsRestartQueue.Set(0)
-	}
-}
-
-// restartOutcome is the result of one restart of the multi-restart stage-1
-// engine: the optimizer that produced it (kept so the winner can continue
-// into stage 2), the best stage-1 outcome, and provenance for Trace.
+// restartOutcome is the result of one iteration of the multi-restart
+// stage-1 engine: the optimizer that produced the winner (kept so it can
+// continue into stage 2), its best stage-1 outcome, and provenance for
+// Trace.
 type restartOutcome struct {
 	opt     *chunkOptimizer
 	best    stageOutcome
@@ -114,18 +26,19 @@ type restartOutcome struct {
 	run     int // restarts actually evaluated
 }
 
-// runRestarts executes K = cfg.Parallel.Restarts independent stage-1
-// optimizations of the same target set and returns the winner. Restart r
-// draws every random number from rand.NewSource(iterSeed + r) and runs the
-// growth loop on its own inference-mode clone of net (chunkOptimizer
-// documents why sharing a trained net across goroutines would race).
+// runRestarts executes K = cfg.Parallel.restarts() independent stage-1
+// optimizations of the same target set on the worker pool and returns the
+// winner. Restart 0 draws from the master stream rng, exactly as a
+// single-optimizer run does; restart r ≥ 1 draws from its own stream
+// seeded by restartSeed(cfg.Seed, iter, r) and never touches rng. Every
+// restart shares net, which must be leaf-free (see chunkOptimizer).
 //
 // The winner is chosen by a fixed, index-ordered tie-break — lowest
 // stage-1 loss, then most newly activated target neurons, then lowest
-// restart index — so the result is a pure function of iterSeed regardless
+// restart index — so the result is a pure function of the seed regardless
 // of worker count or completion order. Restarts not yet started when ctx
 // is cancelled are skipped and excluded from the RestartsRun count.
-func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, iterSeed int64, tInMin int, tdMin float64, mask *LayerMask, target map[int]bool, offsets []int) (restartOutcome, error) {
+func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, rng *rand.Rand, iter, tInMin int, tdMin float64, mask *LayerMask, target map[int]bool, offsets []int) (restartOutcome, error) {
 	k := cfg.Parallel.restarts()
 	type slot struct {
 		opt     *chunkOptimizer
@@ -135,26 +48,27 @@ func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, iterSeed in
 		err     error
 	}
 	slots := make([]slot, k)
-	runIndexed(cfg.Parallel.workers(k), k, func(r int) {
+	pool.Run(cfg.Parallel.Workers, k, func(r int) {
 		if ctx.Err() != nil {
 			return
 		}
 		on := obs.On()
 		var t0 time.Time
 		if on {
-			obsRestartInflight.Add(1)
 			t0 = time.Now()
 		}
 		rctx, rsp := obs.Start(ctx, "generate/restart")
 		rsp.SetAttr("restart", r)
-		rng := rand.New(rand.NewSource(iterSeed + int64(r)))
-		opt := newChunkOptimizer(net.Clone(), cfg, rng, tInMin)
+		rrng := rng
+		if r > 0 {
+			rrng = rand.New(rand.NewSource(restartSeed(cfg.Seed, iter, r)))
+		}
+		opt := newChunkOptimizer(net, cfg, rrng, tInMin)
 		best, growths, err := runGrowthLoop(rctx, opt, cfg, mask, tdMin, target, offsets)
 		rsp.SetAttr("growths", growths)
 		rsp.End()
 		if on {
 			obsRestartHist.Observe(time.Since(t0))
-			obsRestartInflight.Add(-1)
 		}
 		slots[r] = slot{opt: opt, best: best, growths: growths, done: true, err: err}
 	})
@@ -179,53 +93,17 @@ func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, iterSeed in
 	return winner, nil
 }
 
-// CalibrateTInMinParallel is the multi-restart engine's T_in,min
-// calibration: all candidate durations 1, 2, 4, …, maxCalibrationDuration
-// are optimized concurrently, candidate i seeded with calibSeed + i, and
-// the serial selection rule is applied afterwards — the shortest fully
-// successful duration, falling back to the duration with the lowest L1
-// (shortest on ties). Unlike CalibrateTInMin it never consumes the master
-// RNG stream, so the outcome depends only on calibSeed, not on worker
-// count or scheduling.
-func CalibrateTInMinParallel(ctx context.Context, net *snn.Network, cfg *Config, calibSeed int64) (int, error) {
-	budget := calibrationBudget(cfg)
-	n := 0
-	for t := 1; t <= maxCalibrationDuration; t *= 2 {
-		n++
+// restartSeed derives the RNG seed of restart r ≥ 1 in iteration iter as
+// a pure function of the run seed, so extra restarts never read the
+// master stream. Each coordinate is folded in through a SplitMix64
+// finalizer, which keeps neighbouring (iter, r) pairs decorrelated.
+func restartSeed(seed int64, iter, r int) int64 {
+	h := uint64(seed)
+	for _, v := range [...]uint64{uint64(iter), uint64(r)} {
+		h += v + 0x9e3779b97f4a7c15
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h ^= h >> 31
 	}
-	type slot struct {
-		cand calibCandidate
-		done bool
-		err  error
-	}
-	slots := make([]slot, n)
-	runIndexed(cfg.Parallel.workers(n), n, func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		_, csp := obs.Start(ctx, "generate/calibrate/candidate")
-		csp.SetAttr("duration", 1<<i)
-		rng := rand.New(rand.NewSource(calibSeed + int64(i)))
-		cand, err := calibrateCandidate(net.Clone(), cfg, rng, 1<<i, budget)
-		csp.End()
-		slots[i] = slot{cand: cand, done: true, err: err}
-	})
-
-	bestT, bestL1 := maxCalibrationDuration, math.Inf(1)
-	for i := range slots {
-		s := &slots[i]
-		if !s.done {
-			continue
-		}
-		if s.err != nil {
-			return 0, s.err
-		}
-		if s.cand.success {
-			return 1 << i, nil
-		}
-		if s.cand.minL1 < bestL1 {
-			bestL1, bestT = s.cand.minL1, 1<<i
-		}
-	}
-	return bestT, nil
+	return int64(h)
 }

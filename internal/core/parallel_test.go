@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -46,50 +50,72 @@ func TestEquivGenerateWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// Restarts ∈ {0, 1} must select the serial legacy path and reproduce its
-// output byte-for-byte, whatever Workers says.
-func TestEquivRestartsOneMatchesLegacySerial(t *testing.T) {
-	net := smallNet(8)
-	cfg := TestConfig()
-	cfg.Seed = 9
-	legacy := must(Generate(net, cfg))
+// stimulusSHA hashes a stimulus's shape and float64 bits, the same
+// digest the benchmark pins its stimuli with.
+func stimulusSHA(t *tensor.Tensor) string {
+	h := sha256.New()
+	for _, d := range t.Shape() {
+		_ = binary.Write(h, binary.LittleEndian, int64(d))
+	}
+	var buf [8]byte
+	for _, x := range t.Data() {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
-	cfg.Parallel = Parallel{Restarts: 1, Workers: 4}
-	one := must(Generate(net, cfg))
-	if !tensor.Equal(legacy.Stimulus, one.Stimulus, 0) {
-		t.Error("Restarts=1 must reproduce the serial stimulus byte-for-byte")
+// One restart per iteration (Restarts 0 or 1) must keep producing the
+// stimuli of the original single-optimizer algorithm byte-for-byte, with
+// and without T_in,min calibration, on a plain network and on one whose
+// projections carry training leaves. The digests were recorded before
+// the single-restart path was folded into the multi-restart engine.
+func TestEquivRestartsOnePinnedBytes(t *testing.T) {
+	want := map[int]string{
+		0: "39d30d78f0bb9730d5fd84770e09e3c31bf46a33e59f1c3b2a960f11cc845054",
+		6: "9a56ccf2180fdbeafcc5580c7cd32d8bf7dcb205e86ccf04cfb367948a4db754",
+	}
+	for _, restarts := range []int{0, 1} {
+		for _, tInMin := range []int{0, 6} {
+			for _, leaves := range []bool{false, true} {
+				net := smallNet(8)
+				if leaves {
+					net.ParamLeaves()
+				}
+				cfg := TestConfig()
+				cfg.Seed = 9
+				cfg.TInMin = tInMin
+				cfg.Parallel = Parallel{Restarts: restarts, Workers: 4}
+				res := must(Generate(net, cfg))
+				if got := stimulusSHA(res.Stimulus); got != want[tInMin] {
+					t.Errorf("restarts=%d tinmin=%d leaves=%v: stimulus sha256 %s, want %s",
+						restarts, tInMin, leaves, got, want[tInMin])
+				}
+			}
+		}
 	}
 }
 
-// Calibration through the parallel engine must also be worker-invariant,
-// including the uncalibrated (TInMin=0) entry path of GenerateContext.
-func TestEquivCalibrateTInMinParallelWorkerInvariance(t *testing.T) {
+// Calibrated generation (TInMin=0) with more than one restart must be
+// worker-invariant too: calibration and every restart stream depend only
+// on the seed.
+func TestEquivCalibratedGenerateWorkerInvariance(t *testing.T) {
 	net := smallNet(4)
-	cfg := TestConfig()
-
-	cfg.Parallel = Parallel{Restarts: 4, Workers: 1}
-	t1 := must(CalibrateTInMinParallel(context.Background(), net, &cfg, 77))
-	cfg.Parallel = Parallel{Restarts: 4, Workers: 4}
-	t4 := must(CalibrateTInMinParallel(context.Background(), net, &cfg, 77))
-	if t1 != t4 {
-		t.Fatalf("calibrated T_in,min differs by worker count: %d vs %d", t1, t4)
-	}
-	if t1 < 1 || t1 > 64 {
-		t.Errorf("parallel T_in,min = %d, implausible for a 2-layer net", t1)
-	}
-
-	genCfg := fastParallelConfig(2, 1)
-	genCfg.TInMin = 0 // force the calibration entry path
-	a := must(Generate(net, genCfg))
-	genCfg.Parallel.Workers = 4
-	b := must(Generate(net, genCfg))
+	cfg := fastParallelConfig(2, 1)
+	cfg.TInMin = 0 // force the calibration entry path
+	a := must(Generate(net, cfg))
+	cfg.Parallel.Workers = 4
+	b := must(Generate(net, cfg))
 	if a.TInMin != b.TInMin || !tensor.Equal(a.Stimulus, b.Stimulus, 0) {
-		t.Error("calibrated parallel generation differs by worker count")
+		t.Error("calibrated multi-restart generation differs by worker count")
+	}
+	if a.TInMin < 1 || a.TInMin > 64 {
+		t.Errorf("calibrated T_in,min = %d, implausible for a 2-layer net", a.TInMin)
 	}
 }
 
-// Trace provenance: parallel iterations record which restart won and how
-// many ran; the serial path keeps the legacy 0/1 values.
+// Trace provenance: iterations record which restart won and how many
+// ran; a single restart always reports 0/1.
 func TestParallelTraceProvenance(t *testing.T) {
 	net := smallNet(6)
 	cfg := fastParallelConfig(3, 2)
@@ -110,7 +136,7 @@ func TestParallelTraceProvenance(t *testing.T) {
 	res = must(Generate(net, cfg))
 	for _, it := range res.Trace {
 		if it.Restart != 0 || it.RestartsRun != 1 {
-			t.Errorf("serial iteration %d: provenance %d/%d, want 0/1", it.Iteration, it.Restart, it.RestartsRun)
+			t.Errorf("single-restart iteration %d: provenance %d/%d, want 0/1", it.Iteration, it.Restart, it.RestartsRun)
 		}
 	}
 }

@@ -3,12 +3,11 @@ package fault
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/repro/snntest/internal/obs"
+	"github.com/repro/snntest/internal/pool"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
 )
@@ -48,21 +47,9 @@ var (
 // Live-campaign gauges and latency histogram, only touched when the obs
 // layer is enabled (the telemetry server's /metrics and /runs views).
 // done/total track the progress-reporter stride; detected/critical are
-// bumped per hit so coverage-so-far is exact; the inflight gauge pairs
-// Add(1)/Add(-1) around each worker's lifetime.
-// Worker-pool resource telemetry. The names match internal/core's pool
-// instrumentation on purpose — the obs registry is idempotent, so the
-// restart pool and the fault-campaign pool feed one shared series and
-// /metrics shows whichever pool ran last (pools never overlap: campaigns
-// and generation phases are sequential).
+// bumped per hit so coverage-so-far is exact. Pool size and utilization
+// come from internal/pool.
 var (
-	obsWorkerPoolSize = obs.NewGauge("worker_pool_size_workers")
-	obsWorkerBusy     = obs.NewCounter("worker_busy_micros_total")
-	obsWorkerUtil     = obs.NewGauge("worker_utilization_percent")
-)
-
-var (
-	obsCampaignInflight = obs.NewGauge("fault_campaign_inflight_workers")
 	obsCampaignDone     = obs.NewGauge("fault_campaign_done_faults")
 	obsCampaignTotal    = obs.NewGauge("fault_campaign_total_faults")
 	obsCampaignDetected = obs.NewGauge("fault_campaign_detected_faults")
@@ -101,77 +88,6 @@ type ClassifyResult struct {
 	// LayerSteps / FullLayerSteps mirror SimResult's work counters.
 	LayerSteps     int64
 	FullLayerSteps int64
-}
-
-// workerCount resolves a worker request against GOMAXPROCS.
-func workerCount(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFaults fans the fault indices out over per-worker injectors and
-// calls fn(injector, faultIndex) for each. Each injector (and its scratch)
-// is confined to one worker goroutine.
-func parallelFaults(golden *snn.Network, n, workers int, fn func(inj *Injector, i int)) {
-	workers = workerCount(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if obs.On() {
-			obsCampaignInflight.Add(1)
-			defer obsCampaignInflight.Add(-1)
-		}
-		inj := NewInjector(golden)
-		for i := 0; i < n; i++ {
-			fn(inj, i)
-		}
-		return
-	}
-	on := obs.On()
-	var poolStart time.Time
-	var busyUS atomic.Int64
-	if on {
-		poolStart = time.Now()
-		obsWorkerPoolSize.Set(int64(workers))
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if on {
-				obsCampaignInflight.Add(1)
-				defer obsCampaignInflight.Add(-1)
-			}
-			inj := NewInjector(golden)
-			for i := range next {
-				if on {
-					t0 := time.Now()
-					fn(inj, i)
-					busyUS.Add(time.Since(t0).Microseconds())
-					continue
-				}
-				fn(inj, i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if on {
-		busy := busyUS.Load()
-		obsWorkerBusy.Add(busy)
-		if capacity := time.Since(poolStart).Microseconds() * int64(workers); capacity > 0 {
-			obsWorkerUtil.Set(busy * 100 / capacity)
-		}
-		obsWorkerPoolSize.Set(0)
-	}
 }
 
 // progressSink receives campaign completion updates. The user callback
@@ -316,7 +232,8 @@ func SimulateWith(golden *snn.Network, faults []Fault, stimulus *tensor.Tensor, 
 		obsCampaignDetected.Set(0)
 	}
 	var layerSteps atomic.Int64
-	parallelFaults(golden, len(faults), opts.Workers, func(inj *Injector, i int) {
+	newInjector := func() *Injector { return NewInjector(golden) }
+	pool.RunWith(opts.Workers, len(faults), newInjector, func(inj *Injector, i int) {
 		f := faults[i]
 		on := obs.On()
 		var t0 time.Time
@@ -459,7 +376,8 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 		obsCampaignCritical.Set(0)
 	}
 	var layerSteps atomic.Int64
-	parallelFaults(golden, len(faults), opts.Workers, func(inj *Injector, i int) {
+	newInjector := func() *Injector { return NewInjector(golden) }
+	pool.RunWith(opts.Workers, len(faults), newInjector, func(inj *Injector, i int) {
 		f := faults[i]
 		on := obs.On()
 		var t0 time.Time

@@ -42,9 +42,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
-	"sync"
+
+	"github.com/repro/snntest/internal/pool"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -107,21 +107,12 @@ func All() []*Analyzer {
 // is identical to a serial run. Incremental callers with a cache use
 // AnalyzeModule instead.
 func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	workers := runtime.GOMAXPROCS(0)
 	perPkg := make([][]Diagnostic, len(mod.Pkgs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, pkg := range mod.Pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			raw := analyzePackage(mod, pkg, analyzers)
-			perPkg[i], _ = applySuppressions(mod, pkg, raw)
-		}(i, pkg)
-	}
-	wg.Wait()
+	pool.Run(0, len(mod.Pkgs), func(i int) {
+		pkg := mod.Pkgs[i]
+		raw := analyzePackage(mod, pkg, analyzers)
+		perPkg[i], _ = applySuppressions(mod, pkg, raw)
+	})
 	var diags []Diagnostic
 	for _, d := range perPkg {
 		diags = append(diags, d...)

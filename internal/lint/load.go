@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/repro/snntest/internal/pool"
 )
 
 // Package is one package of the module. ScanModule populates the cheap
@@ -368,18 +370,7 @@ func (m *Module) EnsureChecked(targets []*Package, workers int) error {
 // concurrently, returning the first error in slice order.
 func runLimited(pkgs []*Package, workers int, fn func(*Package) error) error {
 	errs := make([]error, len(pkgs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = fn(pkg)
-		}(i, pkg)
-	}
-	wg.Wait()
+	pool.Run(workers, len(pkgs), func(i int) { errs[i] = fn(pkgs[i]) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -3,9 +3,10 @@
 #
 # Tier 1 (build + vet) must always pass; the snnlint suite enforces the
 # repo-specific invariants (see internal/lint and README.md), and the
-# race run exercises the campaign worker pools, the multi-restart
-# generation engine, and the tensor/autograd concurrency contracts. Any
-# non-zero exit fails the gate.
+# race run exercises the worker pool, the fault campaigns and the
+# multi-restart generation engine that run on it, and the
+# tensor/autograd concurrency contracts. Any non-zero exit fails the
+# gate.
 set -eu
 cd "$(dirname "$0")"
 
@@ -20,10 +21,11 @@ go test -race ./...
 go test -run GradCheck ./internal/autograd/
 # Determinism/equivalence gate: the Equiv tests pin (a) the incremental
 # golden-trace-replay campaign to the full re-simulation reference and
-# (b) the parallel multi-restart generator to its serial output —
-# worker-count invariance, Restarts=1 legacy equivalence, and the
-# seed-pinned Generate→Compact→fault-classification pipeline golden —
-# and must survive repeated runs bit-identically.
+# (b) the multi-restart generator to its determinism contract —
+# worker-count invariance, single-restart stimuli pinned by SHA-256 to
+# the original serial generator's bytes, and the seed-pinned
+# Generate→Compact→fault-classification pipeline golden — and must
+# survive repeated runs bit-identically.
 go test -run Equiv -count=2 ./...
 # Kernel gate: the fused forward path must stay allocation-free across a
 # whole Run/RunFrom pass (the AllocsPerRun tests fail on any regression),
