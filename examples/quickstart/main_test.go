@@ -40,8 +40,9 @@ func TestRunSmoke(t *testing.T) {
 // TestRunTrace runs the quickstart with -trace and validates the emitted
 // JSONL end to end: every line parses, the span tree covers
 // calibrate → generate (per restart) → compact → campaign, campaign spans
-// nest under compaction, and the counter snapshot reconciles with the
-// per-campaign span attributes.
+// nest under compaction, the counter snapshot reconciles with the
+// per-campaign span attributes, and the run events carry one fault event
+// per simulated fault.
 func TestRunTrace(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	var stdout, stderr bytes.Buffer
@@ -76,12 +77,15 @@ func TestRunTrace(t *testing.T) {
 
 	spans := map[string][]obs.Event{}
 	var counters map[string]int64
+	var faultEvents int64
 	for _, e := range events {
 		switch e.Kind {
 		case obs.KindSpan:
 			spans[e.Name] = append(spans[e.Name], e)
 		case obs.KindCounters:
 			counters = e.Counters
+		case obs.KindFault:
+			faultEvents++
 		}
 	}
 	for _, name := range []string{
@@ -136,6 +140,12 @@ func TestRunTrace(t *testing.T) {
 		if counters[name] <= 0 {
 			t.Errorf("counter %s = %d, want > 0", name, counters[name])
 		}
+	}
+	// A plain -trace run carries the run events: one fault event per
+	// simulated fault.
+	if faultEvents != counters["fault_simulated_total"] {
+		t.Errorf("trace has %d fault events, fault_simulated_total = %d",
+			faultEvents, counters["fault_simulated_total"])
 	}
 	if counters["snn_layer_steps_total"] < counters["fault_layer_steps_total"] {
 		t.Errorf("snn_layer_steps_total (%d) < fault_layer_steps_total (%d)",

@@ -18,12 +18,6 @@ var (
 	obsIterations  = obs.NewCounter("core_iterations_total")
 	obsGrowths     = obs.NewCounter("core_growths_total")
 	obsRestartsRun = obs.NewCounter("core_restarts_run_total")
-
-	// Live-progress gauges for the telemetry server's /metrics and /runs
-	// views; written once per iteration alongside the counters above.
-	obsGenIteration = obs.NewGauge("core_generate_iteration_index")
-	obsGenActivated = obs.NewGauge("core_generate_activated_neurons")
-	obsGenTotal     = obs.NewGauge("core_generate_total_neurons")
 )
 
 // IterationStats records one iteration of the outer loop (one generated
@@ -119,7 +113,7 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 	offsets := net.LayerOffsets()
 	totalNeurons := net.NumNeurons()
 	run := ""
-	if obs.RunEventsOn() {
+	if obs.On() {
 		run = obs.NewRunID("generate")
 		obs.EmitRunStart(run, "generate", totalNeurons, map[string]any{
 			"network": net.Name,
@@ -129,12 +123,6 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 		// Tag CPU samples from here down (including pool workers, which
 		// inherit goroutine labels at spawn) with this run's id.
 		ctx = obs.WithRunLabel(ctx, run)
-	}
-	if obs.On() {
-		obsGenIteration.Set(0)
-		obsGenActivated.Set(0)
-		obsGenTotal.Set(int64(totalNeurons))
-		obs.ProgressRun(run, "generate", 0, totalNeurons)
 	}
 
 	tInMin := cfg.TInMin
@@ -215,8 +203,8 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 			obsIterations.Add(1)
 			obsGrowths.Add(int64(winner.growths))
 			obsRestartsRun.Add(int64(winner.run))
-			obsGenIteration.Set(int64(iter + 1))
-			obsGenActivated.Set(int64(len(activated)))
+			// Generation has no per-unit run event, so each iteration
+			// reports its activated-neuron count as run progress.
 			obs.ProgressRun(run, "generate", len(activated), totalNeurons)
 			isp.SetAttr("chunk_steps", best.stim.Dim(0))
 			isp.SetAttr("new_activated", newCount)

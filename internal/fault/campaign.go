@@ -44,18 +44,10 @@ var (
 	obsFaultsCritical     = obs.NewCounter("fault_critical_total")
 )
 
-// Live-campaign gauges and latency histogram, only touched when the obs
-// layer is enabled (the telemetry server's /metrics and /runs views).
-// done/total track the progress-reporter stride; detected/critical are
-// bumped per hit so coverage-so-far is exact. Pool size and utilization
-// come from internal/pool.
-var (
-	obsCampaignDone     = obs.NewGauge("fault_campaign_done_faults")
-	obsCampaignTotal    = obs.NewGauge("fault_campaign_total_faults")
-	obsCampaignDetected = obs.NewGauge("fault_campaign_detected_faults")
-	obsCampaignCritical = obs.NewGauge("fault_campaign_critical_faults")
-	obsFaultSimHist     = obs.NewTimingHistogram("fault_simulation_seconds")
-)
+// obsFaultSimHist is the per-fault latency histogram, only touched when
+// the obs layer is enabled. Live done/detected counts are not metrics:
+// /runs/{id} derives them from the campaign's fault events.
+var obsFaultSimHist = obs.NewTimingHistogram("fault_simulation_seconds")
 
 // SimResult is the outcome of one fault-simulation campaign against a
 // test stimulus.
@@ -71,15 +63,7 @@ type SimResult struct {
 }
 
 // NumDetected counts detected faults.
-func (r *SimResult) NumDetected() int {
-	n := 0
-	for _, d := range r.Detected {
-		if d {
-			n++
-		}
-	}
-	return n
-}
+func (r *SimResult) NumDetected() int { return countTrue(r.Detected) }
 
 // ClassifyResult is the outcome of a criticality-labelling campaign.
 type ClassifyResult struct {
@@ -90,51 +74,32 @@ type ClassifyResult struct {
 	FullLayerSteps int64
 }
 
-// progressSink receives campaign completion updates. The user callback
-// and the obs trace stream are both sinks of the same reporter, so they
-// see identical update sequences.
-type progressSink interface {
-	report(done, total int)
+func countTrue(flags []bool) int {
+	n := 0
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
 }
 
-// callbackSink adapts a CampaignOptions.Progress func.
-type callbackSink struct{ fn func(done int) }
-
-func (s callbackSink) report(done, _ int) { s.fn(done) }
-
-// obsSink forwards updates to the obs layer as progress events,
-// run-correlated when the campaign minted a flight-recorder run id.
-type obsSink struct{ name, run string }
-
-func (s obsSink) report(done, total int) { obs.ProgressRun(s.run, s.name, done, total) }
-
-// progressReporter fans completion counts out to its sinks every stride
-// completions. tick runs on worker goroutines outside every campaign
-// lock; finish — called after the workers join — guarantees exactly one
-// terminal done == total report, even when the fault list is empty or
-// total is not a stride multiple.
+// progressReporter calls the CampaignOptions.Progress callback every
+// stride completions. tick runs on worker goroutines outside every
+// campaign lock; finish — called after the workers join — guarantees
+// exactly one terminal done == total call, even when the fault list is
+// empty or total is not a stride multiple.
 type progressReporter struct {
 	done     atomic.Int64
 	terminal atomic.Bool
 	total    int
 	stride   int64
-	sinks    []progressSink
-}
-
-func newProgressReporter(total, stride int, opts CampaignOptions, name, run string) *progressReporter {
-	r := &progressReporter{total: total, stride: int64(stride)}
-	if opts.Progress != nil {
-		r.sinks = append(r.sinks, callbackSink{opts.Progress})
-	}
-	if obs.On() {
-		r.sinks = append(r.sinks, obsSink{name: name, run: run})
-	}
-	return r
+	fn       func(done int)
 }
 
 // tick records one completed fault.
 func (r *progressReporter) tick() {
-	if len(r.sinks) == 0 {
+	if r.fn == nil {
 		return
 	}
 	d := r.done.Add(1)
@@ -144,38 +109,102 @@ func (r *progressReporter) tick() {
 	if int(d) == r.total && !r.terminal.CompareAndSwap(false, true) {
 		return
 	}
-	r.emit(int(d))
+	r.fn(int(d))
 }
 
-// finish emits the terminal report unless a tick already did.
+// finish makes the terminal call unless a tick already did.
 func (r *progressReporter) finish() {
-	if len(r.sinks) == 0 || r.terminal.Swap(true) {
+	if r.fn == nil || r.terminal.Swap(true) {
 		return
 	}
-	r.emit(r.total)
+	r.fn(r.total)
 }
 
-func (r *progressReporter) emit(done int) {
-	if obs.On() {
-		// Gauges first, so a /runs snapshot triggered by the progress
-		// event below already sees the matching done count.
-		obsCampaignDone.Set(int64(done))
-		obsCampaignTotal.Set(int64(r.total))
-	}
-	for _, s := range r.sinks {
-		s.report(done, r.total)
-	}
+// campaign is what one kind of fault campaign hands runCampaign:
+// everything in which Simulate and Classify differ.
+type campaign struct {
+	// name is the span name, the run id prefix and the event name.
+	name string
+	// stride is the Progress callback stride.
+	stride int
+	// hitKey names the hit count in the run_end and span attributes
+	// ("detected" or "critical"); faultCounter and hitCounter count the
+	// campaign's faults and hits.
+	hitKey                   string
+	faultCounter, hitCounter *obs.Counter
+	// setup builds the golden reference inside the campaign span. It
+	// returns the run metadata (run_start and span attributes) and the
+	// layer-steps a full re-simulation of one fault costs.
+	setup func() (meta map[string]any, fullPerFault int64)
+	// simulate runs one fault on a worker's injector. runCampaign fills
+	// in the outcome's Index, Kind and Layer.
+	simulate func(inj *Injector, f Fault) obs.FaultOutcome
 }
 
-// span opens the campaign's obs span under the options' context and
-// returns the derived context so run-labelled profiling can compose with
-// it (see obs.WithRunLabel).
-func (opts CampaignOptions) span(name string) (context.Context, *obs.Span) {
+// runCampaign is the one campaign loop. It opens the campaign span,
+// runs c.setup, and — with the obs layer on — mints a run id, labels
+// the workers' CPU samples with it and brackets the campaign with
+// run_start/run_end. Then it runs every fault through c.simulate on the
+// worker pool, recording per fault its latency, its fault event and a
+// Progress tick, and finally adds the campaign's counters and span
+// attributes. It returns the per-fault hit flags and the layer-steps
+// simulated and those a full re-simulation would have cost.
+func runCampaign(golden *snn.Network, faults []Fault, opts CampaignOptions, c campaign) (hits []bool, layerSteps, fullLayerSteps int64) {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return obs.Start(ctx, name)
+	ctx, sp := obs.Start(ctx, c.name)
+	defer sp.End()
+	sp.SetAttr("faults", len(faults))
+	meta, fullPerFault := c.setup()
+	for k, v := range meta {
+		sp.SetAttr(k, v)
+	}
+	run := ""
+	if obs.On() {
+		run = obs.NewRunID(c.name)
+		obs.EmitRunStart(run, c.name, len(faults), meta)
+		// Tag this goroutine's CPU samples with the run id; the fault
+		// workers spawned below inherit the goroutine label set.
+		obs.WithRunLabel(ctx, run)
+	}
+	hits = make([]bool, len(faults))
+	rep := &progressReporter{total: len(faults), stride: int64(c.stride), fn: opts.Progress}
+	var steps atomic.Int64
+	newInjector := func() *Injector { return NewInjector(golden) }
+	pool.RunWith(opts.Workers, len(faults), newInjector, func(inj *Injector, i int) {
+		f := faults[i]
+		var t0 time.Time
+		if run != "" {
+			t0 = time.Now()
+		}
+		out := c.simulate(inj, f)
+		hits[i] = out.Detected
+		steps.Add(int64(out.LayerSteps))
+		if run != "" {
+			obsFaultSimHist.Observe(time.Since(t0))
+			out.Index, out.Kind, out.Layer = i, f.Kind.String(), f.Layer
+			obs.EmitFault(run, c.name, out)
+		}
+		rep.tick()
+	})
+	rep.finish()
+	layerSteps, fullLayerSteps = steps.Load(), int64(len(faults))*fullPerFault
+	if run != "" {
+		n := countTrue(hits)
+		obs.EmitRunEnd(run, c.name, len(faults), len(faults), map[string]any{
+			c.hitKey:      n,
+			"layer_steps": layerSteps,
+		})
+		c.faultCounter.Add(int64(len(faults)))
+		c.hitCounter.Add(int64(n))
+		obsCampaignLayerSteps.Add(layerSteps)
+		obsCampaignFullSteps.Add(fullLayerSteps)
+		sp.SetAttr(c.hitKey, n)
+		sp.SetAttr("layer_steps", layerSteps)
+	}
+	return hits, layerSteps, fullLayerSteps
 }
 
 // Simulate runs the fault-simulation campaign: each fault is injected in
@@ -204,101 +233,42 @@ func SimulateWith(golden *snn.Network, faults []Fault, stimulus *tensor.Tensor, 
 	if err := Validate(golden, faults); err != nil {
 		return nil, err
 	}
-	ctx, sp := opts.span("campaign/simulate")
-	defer sp.End()
-	sp.SetAttr("faults", len(faults))
-	goldenRec := golden.Run(stimulus)
-	goldenOut := goldenRec.Output()
-	fullPerFault := int64(len(golden.Layers)) * int64(steps)
-	res := &SimResult{
-		Detected:       make([]bool, len(faults)),
-		FullLayerSteps: int64(len(faults)) * fullPerFault,
-	}
-	run := ""
-	if obs.RunEventsOn() {
-		run = obs.NewRunID("campaign/simulate")
-		obs.EmitRunStart(run, "campaign/simulate", len(faults), map[string]any{
-			"steps":  steps,
-			"layers": len(golden.Layers),
-		})
-		// Tag this goroutine's CPU samples with the run id; the fault
-		// workers spawned below inherit the goroutine label set.
-		ctx = obs.WithRunLabel(ctx, run)
-	}
-	rep := newProgressReporter(len(faults), 256, opts, "campaign/simulate", run)
-	if obs.On() {
-		obsCampaignDone.Set(0)
-		obsCampaignTotal.Set(int64(len(faults)))
-		obsCampaignDetected.Set(0)
-	}
-	var layerSteps atomic.Int64
-	newInjector := func() *Injector { return NewInjector(golden) }
-	pool.RunWith(opts.Workers, len(faults), newInjector, func(inj *Injector, i int) {
-		f := faults[i]
-		on := obs.On()
-		var t0 time.Time
-		if on {
-			t0 = time.Now()
-		}
-		revert := inj.Apply(f)
-		var detected bool
-		var ls int
-		divStep, simSteps := -1, steps
-		if opts.FullResim {
-			rec, n := inj.Scratch().RunFrom(0, nil, stimulus)
-			detected, ls = tensor.L1Diff(goldenOut, rec.Output()) > 0, n
-			if detected && run != "" {
-				divStep = firstDivergence(rec.Output(), goldenOut, steps)
+	var goldenRec *snn.Record
+	var goldenOut *tensor.Tensor
+	detected, layerSteps, fullLayerSteps := runCampaign(golden, faults, opts, campaign{
+		name: "campaign/simulate", stride: 256,
+		hitKey: "detected", faultCounter: obsFaultsSimulated, hitCounter: obsFaultsDetected,
+		setup: func() (map[string]any, int64) {
+			goldenRec = golden.Run(stimulus)
+			goldenOut = goldenRec.Output()
+			return map[string]any{"steps": steps, "layers": len(golden.Layers)},
+				int64(len(golden.Layers)) * int64(steps)
+		},
+		simulate: func(inj *Injector, f Fault) obs.FaultOutcome {
+			revert := inj.Apply(f)
+			defer revert()
+			sc := inj.Scratch()
+			if opts.FullResim {
+				rec, n := sc.RunFrom(0, nil, stimulus)
+				div := firstDivergence(rec.Output(), goldenOut, steps)
+				return obs.FaultOutcome{Detected: div >= 0, DivStep: div, SimSteps: steps, LayerSteps: n}
 			}
-		} else {
-			detected, ls = inj.Scratch().DivergesFrom(f.StartLayer(), goldenRec, stimulus)
-			simSteps = inj.Scratch().LastSimSteps()
+			detected, n := sc.DivergesFrom(f.StartLayer(), goldenRec, stimulus)
+			out := obs.FaultOutcome{Detected: detected, DivStep: -1, SimSteps: sc.LastSimSteps(), LayerSteps: n}
 			if detected {
 				// Early exit happens on the divergent step, so the last
 				// simulated step is the first divergence.
-				divStep = simSteps - 1
+				out.DivStep = out.SimSteps - 1
 			}
-		}
-		revert()
-		res.Detected[i] = detected
-		layerSteps.Add(int64(ls))
-		if on {
-			if detected {
-				obsCampaignDetected.Add(1)
-			}
-			obsFaultSimHist.Observe(time.Since(t0))
-		}
-		if run != "" {
-			obs.EmitFault(run, "campaign/simulate", obs.FaultOutcome{
-				Index:      i,
-				Kind:       f.Kind.String(),
-				Layer:      f.Layer,
-				Detected:   detected,
-				DivStep:    divStep,
-				SimSteps:   simSteps,
-				LayerSteps: ls,
-			})
-		}
-		rep.tick()
+			return out
+		},
 	})
-	rep.finish()
-	res.LayerSteps = layerSteps.Load()
-	res.Elapsed = time.Since(start)
-	if run != "" {
-		obs.EmitRunEnd(run, "campaign/simulate", len(faults), len(faults), map[string]any{
-			"detected":    res.NumDetected(),
-			"layer_steps": res.LayerSteps,
-		})
-	}
-	if obs.On() {
-		obsFaultsSimulated.Add(int64(len(faults)))
-		obsFaultsDetected.Add(int64(res.NumDetected()))
-		obsCampaignLayerSteps.Add(res.LayerSteps)
-		obsCampaignFullSteps.Add(res.FullLayerSteps)
-		sp.SetAttr("detected", res.NumDetected())
-		sp.SetAttr("layer_steps", res.LayerSteps)
-	}
-	return res, nil
+	return &SimResult{
+		Detected:       detected,
+		Elapsed:        time.Since(start),
+		LayerSteps:     layerSteps,
+		FullLayerSteps: fullLayerSteps,
+	}, nil
 }
 
 // firstDivergence returns the first timestep whose out row differs from
@@ -342,121 +312,52 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 	if err := Validate(golden, faults); err != nil {
 		return nil, err
 	}
-	ctx, sp := opts.span("campaign/classify")
-	defer sp.End()
-	sp.SetAttr("faults", len(faults))
-	sp.SetAttr("samples", len(samples))
 	goldenRecs := make([]*snn.Record, len(samples))
 	goldenPred := make([]int, len(samples))
-	var fullPerFault int64
-	for i, s := range samples {
-		goldenRecs[i] = golden.Run(s)
-		goldenPred[i] = tensor.ArgMax(goldenRecs[i].OutputCounts())
-		fullPerFault += int64(len(golden.Layers)) * int64(goldenRecs[i].Steps)
-	}
-	res := &ClassifyResult{
-		Critical:       make([]bool, len(faults)),
-		FullLayerSteps: int64(len(faults)) * fullPerFault,
-	}
-	run := ""
-	if obs.RunEventsOn() {
-		run = obs.NewRunID("campaign/classify")
-		obs.EmitRunStart(run, "campaign/classify", len(faults), map[string]any{
-			"samples": len(samples),
-			"layers":  len(golden.Layers),
-		})
-		// Tag this goroutine's CPU samples with the run id; the fault
-		// workers spawned below inherit the goroutine label set.
-		ctx = obs.WithRunLabel(ctx, run)
-	}
-	rep := newProgressReporter(len(faults), 64, opts, "campaign/classify", run)
-	if obs.On() {
-		obsCampaignDone.Set(0)
-		obsCampaignTotal.Set(int64(len(faults)))
-		obsCampaignCritical.Set(0)
-	}
-	var layerSteps atomic.Int64
-	newInjector := func() *Injector { return NewInjector(golden) }
-	pool.RunWith(opts.Workers, len(faults), newInjector, func(inj *Injector, i int) {
-		f := faults[i]
-		on := obs.On()
-		var t0 time.Time
-		if on {
-			t0 = time.Now()
-		}
-		startLayer := f.StartLayer()
-		if opts.FullResim {
-			startLayer = 0
-		}
-		revert := inj.Apply(f)
-		ls := 0
-		for si, s := range samples {
-			var rec *snn.Record
-			var n int
-			if startLayer == 0 {
-				rec, n = inj.Scratch().RunFrom(0, nil, s)
-			} else {
-				rec, n = inj.Scratch().RunFrom(startLayer, goldenRecs[si], s)
+	critical, layerSteps, fullLayerSteps := runCampaign(golden, faults, opts, campaign{
+		name: "campaign/classify", stride: 64,
+		hitKey: "critical", faultCounter: obsFaultsClassified, hitCounter: obsFaultsCritical,
+		setup: func() (map[string]any, int64) {
+			var fullPerFault int64
+			for i, s := range samples {
+				goldenRecs[i] = golden.Run(s)
+				goldenPred[i] = tensor.ArgMax(goldenRecs[i].OutputCounts())
+				fullPerFault += int64(len(golden.Layers)) * int64(goldenRecs[i].Steps)
 			}
-			ls += n
-			if tensor.ArgMax(rec.OutputCounts()) != goldenPred[si] {
-				res.Critical[i] = true
-				break
+			return map[string]any{"samples": len(samples), "layers": len(golden.Layers)}, fullPerFault
+		},
+		simulate: func(inj *Injector, f Fault) obs.FaultOutcome {
+			startLayer := f.StartLayer()
+			if opts.FullResim {
+				startLayer = 0
 			}
-		}
-		revert()
-		layerSteps.Add(int64(ls))
-		if on {
-			if res.Critical[i] {
-				obsCampaignCritical.Add(1)
-			}
-			obsFaultSimHist.Observe(time.Since(t0))
-		}
-		if run != "" {
-			// Criticality has no single first-divergence timestep (it spans
-			// samples); DivStep stays -1 and the curve folds these
+			revert := inj.Apply(f)
+			defer revert()
+			// Criticality has no single first-divergence timestep (it
+			// spans samples); DivStep stays -1 and the curve folds these
 			// detections into its final point.
-			obs.EmitFault(run, "campaign/classify", obs.FaultOutcome{
-				Index:      i,
-				Kind:       f.Kind.String(),
-				Layer:      f.Layer,
-				Detected:   res.Critical[i],
-				DivStep:    -1,
-				LayerSteps: ls,
-			})
-		}
-		rep.tick()
+			out := obs.FaultOutcome{DivStep: -1}
+			for si, s := range samples {
+				var replay *snn.Record
+				if startLayer > 0 {
+					replay = goldenRecs[si]
+				}
+				rec, n := inj.Scratch().RunFrom(startLayer, replay, s)
+				out.LayerSteps += n
+				if tensor.ArgMax(rec.OutputCounts()) != goldenPred[si] {
+					out.Detected = true
+					break
+				}
+			}
+			return out
+		},
 	})
-	rep.finish()
-	res.LayerSteps = layerSteps.Load()
-	res.Elapsed = time.Since(start)
-	if run != "" {
-		critical := 0
-		for _, c := range res.Critical {
-			if c {
-				critical++
-			}
-		}
-		obs.EmitRunEnd(run, "campaign/classify", len(faults), len(faults), map[string]any{
-			"critical":    critical,
-			"layer_steps": res.LayerSteps,
-		})
-	}
-	if obs.On() {
-		critical := 0
-		for _, c := range res.Critical {
-			if c {
-				critical++
-			}
-		}
-		obsFaultsClassified.Add(int64(len(faults)))
-		obsFaultsCritical.Add(int64(critical))
-		obsCampaignLayerSteps.Add(res.LayerSteps)
-		obsCampaignFullSteps.Add(res.FullLayerSteps)
-		sp.SetAttr("critical", critical)
-		sp.SetAttr("layer_steps", res.LayerSteps)
-	}
-	return res, nil
+	return &ClassifyResult{
+		Critical:       critical,
+		Elapsed:        time.Since(start),
+		LayerSteps:     layerSteps,
+		FullLayerSteps: fullLayerSteps,
+	}, nil
 }
 
 // AccuracyDrop returns how much the network's top-1 accuracy on the

@@ -268,15 +268,24 @@ func TestObsCampaignSpanParenting(t *testing.T) {
 		t.Errorf("campaign span parent = %d, want root id %d", spans[0].Parent, roots[0].ID)
 	}
 
-	// The obs progress stream carries the same guaranteed terminal event.
-	var sawTerminal bool
+	// The run events close the campaign with one run_end whose tallies
+	// cover every fault, after one fault event per fault; campaigns emit
+	// no progress events of their own.
+	var runEnds, faultEvents int
 	for _, e := range rec.Events() {
-		if e.Kind == obs.KindProgress && e.Name == "campaign/simulate" &&
-			e.Done == len(faults) && e.Total == len(faults) {
-			sawTerminal = true
+		switch e.Kind {
+		case obs.KindRunEnd:
+			runEnds++
+			if e.Name != "campaign/simulate" || e.Done != len(faults) || e.Total != len(faults) {
+				t.Errorf("run_end = %+v, want campaign/simulate with done == total == %d", e, len(faults))
+			}
+		case obs.KindFault:
+			faultEvents++
+		case obs.KindProgress:
+			t.Errorf("campaign emitted a progress event: %+v", e)
 		}
 	}
-	if !sawTerminal {
-		t.Error("no terminal progress event for campaign/simulate")
+	if runEnds != 1 || faultEvents != len(faults) {
+		t.Errorf("got %d run_end and %d fault events, want 1 and %d", runEnds, faultEvents, len(faults))
 	}
 }

@@ -144,14 +144,16 @@ func (c *CLI) Level() LogLevel {
 }
 
 // Start validates the flags, builds the shared logger on stderr, and —
-// when -trace, -serve or ForceEnable ask for it — enables the
-// observability layer: -trace adds a JSONL sink plus an in-memory
-// recorder for the final tree summary, -serve starts the telemetry
-// server (requires internal/obs/telemetry to be linked in) and registers
-// its run-tracking sink, and the requested pprof profiles are started.
-// The stop function is safe to defer on every path (including flag
-// errors, when it is a no-op); it shuts the server down gracefully,
-// flushes and closes the trace, and restores the dark default.
+// when -trace, -serve, -ledger, a profile flag or ForceEnable asks for
+// it — enables the observability layer, which turns on spans, their
+// pprof labels and the run events together: -trace adds a JSONL sink
+// plus an in-memory recorder for the final tree summary, -ledger adds
+// the flight-recorder journal sink, -serve starts the telemetry server
+// (requires internal/obs/telemetry to be linked in) and registers its
+// run-tracking sink, and the requested pprof profiles are started. The
+// stop function is safe to defer on every path (including flag errors,
+// when it is a no-op); it shuts the server down gracefully, flushes and
+// closes the trace, and restores the dark default.
 func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 	if c.Verbose && c.Quiet {
 		return nil, nil, fmt.Errorf("obs: -v and -quiet are mutually exclusive")
@@ -250,15 +252,6 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 			return nil
 		})
 	}
-	if c.Serve != "" || c.Ledger != "" {
-		// Per-run flight-recorder events only flow when something consumes
-		// them, keeping plain -trace runs byte-compatible with history.
-		SetRunEvents(true)
-		cleanups = append(cleanups, func() error {
-			SetRunEvents(false)
-			return nil
-		})
-	}
 	if c.Ledger != "" {
 		if ledgerHook == nil {
 			return fail(fmt.Errorf("obs: -ledger needs the flight recorder linked in; import internal/obs/ledger (or internal/obs/telemetry)"))
@@ -288,13 +281,25 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 		})
 		log.Infof("telemetry server listening on http://%s (/metrics /healthz /readyz /runs /debug/pprof)", h.Addr)
 	}
-	if cpuPath != "" || c.Serve != "" {
-		// Phase/run pprof labels cost one small allocation per span, so
-		// they are only maintained when a profile consumer exists: an
-		// on-disk CPU profile, or the server's /debug/pprof endpoints.
-		SetProfileLabels(true)
+	if memPath != "" {
+		// Registered before the CPU profile so that, cleanups running
+		// LIFO, the CPU profile stops first and does not sample the
+		// heap profile's forced GC and compression as unlabelled CPU.
+		path := memPath
 		cleanups = append(cleanups, func() error {
-			SetProfileLabels(false)
+			f, err := os.Create(path)
+			if err != nil {
+				return err
+			}
+			runtime.GC() // settle the heap so the profile reflects live data
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				_ = f.Close()
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			log.Infof("heap profile written to %s", path)
 			return nil
 		})
 	}
@@ -314,25 +319,6 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 				return err
 			}
 			log.Infof("CPU profile written to %s", path)
-			return nil
-		})
-	}
-	if memPath != "" {
-		path := memPath
-		cleanups = append(cleanups, func() error {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			runtime.GC() // settle the heap so the profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				_ = f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			log.Infof("heap profile written to %s", path)
 			return nil
 		})
 	}

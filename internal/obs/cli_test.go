@@ -8,6 +8,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -106,14 +107,16 @@ func TestCLIStartProfileDir(t *testing.T) {
 	if !On() {
 		t.Fatal("-profile-dir did not enable the layer")
 	}
-	if !ProfileLabelsOn() {
-		t.Fatal("-profile-dir did not turn pprof labelling on")
+	ctx, sp := Start(context.Background(), "profiletest/cli")
+	if _, ok := pprof.Label(ctx, "phase"); !ok {
+		t.Error("spans carry no pprof phase label under -profile-dir")
 	}
+	sp.End()
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	if On() || ProfileLabelsOn() {
-		t.Error("stop left the layer or labelling enabled")
+	if On() {
+		t.Error("stop left the layer enabled")
 	}
 	for _, name := range []string{"snntestgen.cpu.pprof", "snntestgen.heap.pprof"} {
 		p := filepath.Join(dir, name)

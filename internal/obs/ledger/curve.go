@@ -206,22 +206,35 @@ func (b *CurveBuilder) AddFault(f obs.FaultOutcome) {
 	k.add(f.DivStep)
 }
 
-// End records the run_end tallies and marks the curve terminal.
-func (b *CurveBuilder) End(done, total int) {
+// Progress records a done/total report that arrives without per-unit
+// events — a generation run's activated-neuron count. The done count
+// never moves backwards.
+func (b *CurveBuilder) Progress(done, total int) {
 	if total > 0 {
 		b.total = total
 	}
 	if done > b.done {
 		b.done = done
 	}
+}
+
+// End records the run_end tallies and marks the curve terminal.
+func (b *CurveBuilder) End(done, total int) {
+	b.Progress(done, total)
 	b.terminal = true
 }
 
-// Done reports the completed-fault count folded so far.
+// Done reports the completed-unit count folded so far.
 func (b *CurveBuilder) Done() int { return b.done }
+
+// Total reports the run's planned unit count.
+func (b *CurveBuilder) Total() int { return b.total }
 
 // Detected reports the detected-fault count folded so far.
 func (b *CurveBuilder) Detected() int { return b.detected }
+
+// Terminal reports whether the run's run_end was folded.
+func (b *CurveBuilder) Terminal() bool { return b.terminal }
 
 // Curve freezes the builder into its served form. Safe to call
 // repeatedly (mid-run snapshots for the live endpoint).

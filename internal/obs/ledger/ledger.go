@@ -7,9 +7,9 @@
 // detection-latency histograms per layer and per fault kind.
 //
 // The recorder is an obs.Sink fed by the KindRunStart / KindFault /
-// KindRunEnd event stream, which only flows when run events are enabled
-// (obs.SetRunEvents — the -ledger and -serve CLI paths). Entries are
-// written as one Write syscall per line on an O_APPEND file, so a
+// KindRunEnd event stream, which flows whenever the obs layer is on
+// (the -ledger CLI flag turns it on and registers the ledger). Entries
+// are written as one Write syscall per line on an O_APPEND file, so a
 // journal killed mid-run (SIGKILL) is at worst truncated in its final
 // line; the reader tolerates that, which is what lets the telemetry
 // server rehydrate run history across process restarts.

@@ -8,9 +8,13 @@
 // paper's headline claim is a cost model, so the instrumented hot paths
 // (snn simulation, fault campaigns, the generation loop) guard every
 // probe behind the single-branch On() check and the golden bit-identity
-// suites run with the layer dark. Enable() flips one atomic; sinks are
-// registered with SetSinks/AddSink and receive completed-span, progress
-// and counter-snapshot events.
+// suites run with the layer dark. Enable() flips one atomic and is the
+// only switch: while the layer is on, spans carry pprof phase/run labels
+// and every fault campaign and generation loop mints a run id and emits
+// its run events (run_start / fault / run_end, plus one generation
+// progress event per iteration); while it is off, none of that happens.
+// Sinks are registered with SetSinks/AddSink and receive that one event
+// stream: completed spans, run events and counter snapshots.
 //
 // Span taxonomy, counter names and the overhead-measurement protocol are
 // documented in DESIGN.md §6.
@@ -40,22 +44,6 @@ func Disable() { enabled.Store(false) }
 
 // On reports whether the layer is enabled — the hot-path guard.
 func On() bool { return enabled.Load() }
-
-// runEvents is the flight-recorder switch layered on top of the main
-// enable gate: per-run lifecycle events (run_start / fault / run_end)
-// and run-correlated progress are only emitted when both are on, so a
-// plain -trace run keeps its historical JSONL content and the fault
-// campaigns pay per-fault event costs only when a ledger or the
-// telemetry server actually consumes them.
-var runEvents atomic.Bool
-
-// SetRunEvents toggles per-run flight-recorder events (the -ledger and
-// -serve paths turn them on; CLI teardown restores the dark default).
-func SetRunEvents(on bool) { runEvents.Store(on) }
-
-// RunEventsOn reports whether per-run flight-recorder events should be
-// emitted: the layer is enabled and a run-event consumer is registered.
-func RunEventsOn() bool { return enabled.Load() && runEvents.Load() }
 
 // runSeq allocates process-unique run sequence numbers.
 var runSeq atomic.Uint64
@@ -99,15 +87,16 @@ type Span struct {
 	parent uint64
 	start  time.Time // wall clock + monotonic (time.Now semantics)
 	attrs  map[string]any
-	// labelRestore is the pre-span label context when pprof profile
-	// labels are on (see profile.go); End reverts the goroutine to it.
+	// labelRestore is the pre-span label context (see profile.go); End
+	// reverts the goroutine to it.
 	labelRestore context.Context
 }
 
 // Start begins a span named name under the span carried by ctx, if any,
-// and returns a derived context carrying the new span. When the layer is
-// disabled it returns ctx unchanged and a nil span whose methods all
-// no-op, so call sites need no second guard.
+// and returns a derived context carrying the new span, tagged with the
+// span's pprof phase label. When the layer is disabled it returns ctx
+// unchanged and a nil span whose methods all no-op, so call sites need
+// no second guard.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if !On() {
 		return ctx, nil
@@ -116,11 +105,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
 		sp.parent = parent.id
 	}
-	ctx = context.WithValue(ctx, spanKey{}, sp)
-	if ProfileLabelsOn() {
-		ctx = attachPhaseLabel(ctx, sp)
-	}
-	return ctx, sp
+	return attachPhaseLabel(context.WithValue(ctx, spanKey{}, sp), sp), sp
 }
 
 // FromContext returns the span carried by ctx, or nil.
@@ -177,7 +162,10 @@ type EventKind string
 const (
 	// KindSpan is a completed span (emitted at End).
 	KindSpan EventKind = "span"
-	// KindProgress is a campaign progress update.
+	// KindProgress is a generation run's per-iteration progress: Run
+	// carries the run id, Done the activated-neuron count and Total the
+	// network's neuron count. Fault campaigns emit none; their fault
+	// events already carry the same counts.
 	KindProgress EventKind = "progress"
 	// KindCounters is a snapshot of every registered counter.
 	KindCounters EventKind = "counters"
@@ -224,14 +212,14 @@ type Event struct {
 	Name   string    `json:"name,omitempty"`
 	ID     uint64    `json:"id,omitempty"`
 	Parent uint64    `json:"parent,omitempty"`
-	// Run correlates flight-recorder events (run_start/fault/run_end and
-	// run-scoped progress) with one run; empty outside run recording.
+	// Run correlates run events (run_start/fault/run_end and generation
+	// progress) with one run; empty on spans and counter snapshots.
 	Run string `json:"run,omitempty"`
 	// Start is the event's wall-clock timestamp (a span's start time).
 	Start time.Time `json:"start"`
 	// DurUS is the span duration in microseconds (monotonic clock).
 	DurUS int64 `json:"dur_us,omitempty"`
-	// Done/Total carry progress updates.
+	// Done/Total carry progress and run_end tallies.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
 	// Attrs are span attributes (and run_start/run_end metadata).
@@ -281,45 +269,30 @@ func Emit(e Event) {
 	sinkMu.RUnlock()
 }
 
-// Progress emits a KindProgress event — the obs-layer form of the old
-// ad-hoc campaign progress callbacks, which are now just one more sink
-// for these updates (see fault.CampaignOptions.Progress).
-func Progress(name string, done, total int) {
-	ProgressRun("", name, done, total)
-}
-
-// ProgressRun emits a KindProgress event correlated with a flight-
-// recorder run (run may be empty for uncorrelated progress).
+// ProgressRun emits a KindProgress event for the given run.
 func ProgressRun(run, name string, done, total int) {
 	Emit(Event{Kind: KindProgress, Name: name, Run: run, Done: done, Total: total, Start: time.Now()})
 }
 
-// EmitRunStart opens a flight-recorder run. No-op unless run events are
-// on (RunEventsOn), so instrumented call sites stay dark by default.
+// EmitRunStart opens a flight-recorder run. Like every emitter it is a
+// no-op while the layer is off.
 func EmitRunStart(run, name string, total int, attrs map[string]any) {
-	if !RunEventsOn() {
-		return
-	}
 	Emit(Event{Kind: KindRunStart, Name: name, Run: run, Total: total, Attrs: attrs, Start: time.Now()})
 }
 
-// EmitFault records one fault's campaign outcome against a run. No-op
-// unless run events are on. Called at per-fault granularity only —
-// never from //snn:hotpath timestep loops.
+// EmitFault records one fault's campaign outcome against a run. Called
+// at per-fault granularity only — never from //snn:hotpath timestep
+// loops.
 func EmitFault(run, name string, f FaultOutcome) {
-	if !RunEventsOn() {
+	if !On() {
 		return
 	}
 	out := f
 	Emit(Event{Kind: KindFault, Name: name, Run: run, Fault: &out, Start: time.Now()})
 }
 
-// EmitRunEnd closes a flight-recorder run with its final tallies. No-op
-// unless run events are on.
+// EmitRunEnd closes a flight-recorder run with its final tallies.
 func EmitRunEnd(run, name string, done, total int, attrs map[string]any) {
-	if !RunEventsOn() {
-		return
-	}
 	Emit(Event{Kind: KindRunEnd, Name: name, Run: run, Done: done, Total: total, Attrs: attrs, Start: time.Now()})
 }
 

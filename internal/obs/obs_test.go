@@ -130,14 +130,14 @@ func TestProgressAndCounterSnapshotEvents(t *testing.T) {
 	rec := withObs(t)
 	c := NewCounter("obs_test.progress_counter")
 	c.Add(7)
-	Progress("campaign", 5, 10)
+	ProgressRun("generate-1", "generate", 5, 10)
 	EmitCounterSnapshot()
 	events := rec.Events()
 	if len(events) != 2 {
 		t.Fatalf("recorded %d events, want 2", len(events))
 	}
 	p := events[0]
-	if p.Kind != KindProgress || p.Name != "campaign" || p.Done != 5 || p.Total != 10 {
+	if p.Kind != KindProgress || p.Run != "generate-1" || p.Name != "generate" || p.Done != 5 || p.Total != 10 {
 		t.Errorf("bad progress event %+v", p)
 	}
 	s := events[1]
@@ -151,7 +151,10 @@ func TestEmitDisabledReachesNoSink(t *testing.T) {
 	SetSinks(rec)
 	t.Cleanup(func() { SetSinks() })
 	Emit(Event{Kind: KindSpan, Name: "dark"})
-	Progress("dark", 1, 2)
+	ProgressRun("dark-1", "dark", 1, 2)
+	EmitRunStart("dark-1", "dark", 2, nil)
+	EmitFault("dark-1", "dark", FaultOutcome{Detected: true})
+	EmitRunEnd("dark-1", "dark", 2, 2, nil)
 	if got := rec.Events(); len(got) != 0 {
 		t.Fatalf("disabled layer emitted %d events", len(got))
 	}

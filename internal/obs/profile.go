@@ -3,31 +3,16 @@ package obs
 import (
 	"context"
 	"runtime/pprof"
-	"sync/atomic"
 )
 
-// profileLabels is the CPU-attribution switch layered on top of the
-// main enable gate, exactly like the run-events gate: when on, every
-// span additionally tags its goroutine with a runtime/pprof `phase`
-// label (and run-correlated code paths add a `run` label), so any CPU
-// profile taken while the process runs — the -cpuprofile/-profile-dir
-// flags or the telemetry server's /debug/pprof/profile endpoint —
-// attributes its samples to the span taxonomy sample by sample.
-//
-// The gate exists because label maintenance, while cheap (one small
-// allocation plus a goroutine-label store per span), is not free, and
-// the repo's contract is that dark runs pay exactly one predicted
-// branch per probe. obs.CLI turns it on for the profiling and -serve
-// paths and restores the dark default on teardown.
-var profileLabels atomic.Bool
-
-// SetProfileLabels toggles pprof phase/run labelling of spans (the
-// -cpuprofile, -profile-dir and -serve CLI paths turn it on).
-func SetProfileLabels(on bool) { profileLabels.Store(on) }
-
-// ProfileLabelsOn reports whether spans should maintain pprof labels:
-// the layer is enabled and a profile consumer asked for attribution.
-func ProfileLabelsOn() bool { return enabled.Load() && profileLabels.Load() }
+// While the layer is on, every span tags its goroutine with a
+// runtime/pprof `phase` label (and run-correlated code paths add a `run`
+// label), so any CPU profile taken while the process runs — the
+// -cpuprofile/-profile-dir flags or the telemetry server's
+// /debug/pprof/profile endpoint — attributes its samples to the span
+// taxonomy sample by sample. Label maintenance costs one small
+// allocation plus a goroutine-label store per span; while the layer is
+// off no span exists, so dark runs never touch pprof state.
 
 // attachPhaseLabel tags the calling goroutine (and the returned
 // context) with the span's name as the pprof `phase` label. The
@@ -51,12 +36,9 @@ func attachPhaseLabel(ctx context.Context, sp *Span) context.Context {
 }
 
 // restorePhaseLabel reverts the goroutine to the label set it carried
-// before the span started. No-op for spans that never attached labels
-// (labelling disabled, or enabled mid-span).
+// before the span started.
 func restorePhaseLabel(sp *Span) {
-	if sp.labelRestore != nil {
-		pprof.SetGoroutineLabels(sp.labelRestore)
-	}
+	pprof.SetGoroutineLabels(sp.labelRestore)
 }
 
 // WithRunLabel tags the calling goroutine (and the returned context)
@@ -65,9 +47,9 @@ func restorePhaseLabel(sp *Span) {
 // sliced per run. It composes with the phase label — both survive on
 // the samples — and is reverted together with the enclosing span's
 // phase label at that span's End. No-op (returning ctx unchanged) when
-// labelling is off or run is empty.
+// the layer is off or run is empty.
 func WithRunLabel(ctx context.Context, run string) context.Context {
-	if run == "" || !ProfileLabelsOn() {
+	if run == "" || !On() {
 		return ctx
 	}
 	lctx := pprof.WithLabels(ctx, pprof.Labels("run", run))

@@ -22,16 +22,14 @@ func goroutineLabels(t *testing.T) string {
 	return buf.String()
 }
 
-// TestProfileLabelsFollowSpans pins the tentpole contract: with
-// labelling on, Start tags the goroutine and the returned context with
+// TestProfileLabelsFollowSpans pins the labelling contract: with the
+// layer on, Start tags the goroutine and the returned context with
 // phase=<span name>, nested spans override, and End restores the
 // enclosing span's label — so a CPU sample taken at any point lands in
 // exactly the innermost open phase.
 func TestProfileLabelsFollowSpans(t *testing.T) {
 	Enable()
-	SetProfileLabels(true)
 	defer func() {
-		SetProfileLabels(false)
 		Disable()
 		pprof.SetGoroutineLabels(context.Background())
 	}()
@@ -66,9 +64,7 @@ func TestProfileLabelsFollowSpans(t *testing.T) {
 // both.
 func TestWithRunLabelComposes(t *testing.T) {
 	Enable()
-	SetProfileLabels(true)
 	defer func() {
-		SetProfileLabels(false)
 		Disable()
 		pprof.SetGoroutineLabels(context.Background())
 	}()
@@ -91,25 +87,25 @@ func TestWithRunLabelComposes(t *testing.T) {
 	}
 }
 
-// TestProfileLabelsDarkByDefault pins the disabled-by-default contract:
-// without SetProfileLabels the span machinery never touches pprof
-// state, and with the whole layer dark WithRunLabel is an identity.
+// TestProfileLabelsDarkByDefault pins that labels are off whenever the
+// layer is off: Start hands back the caller's context and a nil span,
+// the goroutine's label set is never touched, and WithRunLabel is an
+// identity.
 func TestProfileLabelsDarkByDefault(t *testing.T) {
-	Enable()
-	defer Disable()
-	ctx, sp := Start(context.Background(), "profiletest/dark")
+	Disable()
+	base := context.Background()
+	ctx, sp := Start(base, "profiletest/dark")
 	defer sp.End()
-	if _, ok := pprof.Label(ctx, "phase"); ok {
-		t.Error("span attached a phase label with labelling off")
+	if ctx != base || sp != nil {
+		t.Error("Start derived a context or span with the layer off")
 	}
-	if sp.labelRestore != nil {
-		t.Error("span kept a label-restore context with labelling off")
+	if _, ok := pprof.Label(ctx, "phase"); ok {
+		t.Error("phase label attached with the layer off")
 	}
 	if got := WithRunLabel(ctx, "run-1"); got != ctx {
-		t.Error("WithRunLabel did not pass ctx through with labelling off")
+		t.Error("WithRunLabel did not pass ctx through with the layer off")
 	}
-	Disable()
-	if ProfileLabelsOn() {
-		t.Error("ProfileLabelsOn true while the layer is disabled")
+	if dump := goroutineLabels(t); strings.Contains(dump, `"profiletest/dark"`) || strings.Contains(dump, `"run-1"`) {
+		t.Error("goroutine labelled with the layer off")
 	}
 }

@@ -26,7 +26,7 @@ func TestJSONLSinkWellFormed(t *testing.T) {
 	child.SetAttr("n", 3)
 	child.End()
 	root.End()
-	Progress("root", 1, 1)
+	ProgressRun("root-1", "root", 1, 1)
 	EmitCounterSnapshot()
 	if err := sink.Err(); err != nil {
 		t.Fatalf("sink error: %v", err)

@@ -14,15 +14,6 @@ import (
 	"github.com/repro/snntest/internal/obs/ledger"
 )
 
-// withRunEvents layers the flight-recorder gate on withObs for one
-// test, restoring the dark default afterwards.
-func withRunEvents(t *testing.T, sinks ...obs.Sink) {
-	t.Helper()
-	withObs(t, sinks...)
-	obs.SetRunEvents(true)
-	t.Cleanup(func() { obs.SetRunEvents(false) })
-}
-
 // getJSON fetches path from the handler and decodes the response into v,
 // returning the status code.
 func getJSON(t *testing.T, h http.Handler, path string, v any) int {
@@ -42,7 +33,7 @@ func getJSON(t *testing.T, h http.Handler, path string, v any) int {
 // point must equal detected/total from the CampaignResult exactly.
 func TestCoverageEndpointReconcilesWithCampaign(t *testing.T) {
 	s := New()
-	withRunEvents(t, s.Sink())
+	withObs(t, s.Sink())
 
 	net := tinyNet(51)
 	faults := fault.Enumerate(net, fault.DefaultOptions())
@@ -62,7 +53,7 @@ func TestCoverageEndpointReconcilesWithCampaign(t *testing.T) {
 		t.Fatalf("no terminal campaign/simulate run: %+v", run)
 	}
 	if strings.HasPrefix(run.ID, "run-") {
-		t.Errorf("campaign with run events on should carry a minted run id, got %q", run.ID)
+		t.Errorf("campaign run should carry a minted run id, got %q", run.ID)
 	}
 
 	var curve ledger.Curve
@@ -113,7 +104,7 @@ func TestCoverageEndpointReconcilesWithCampaign(t *testing.T) {
 			events.Events[0].Kind, events.Events[len(events.Events)-1].Kind)
 	}
 
-	// Unknown runs and curve-less runs 404.
+	// Unknown runs 404.
 	if code := getJSON(t, s.Handler(), "/runs/no-such/coverage", nil); code != http.StatusNotFound {
 		t.Errorf("/runs/no-such/coverage status = %d, want 404", code)
 	}
@@ -147,14 +138,16 @@ func TestRunsStoreBounded(t *testing.T) {
 	if _, ok := s.Run("hammer-0000"); ok {
 		t.Error("evicted run still queryable")
 	}
-	if _, known, _ := s.Coverage("hammer-0000"); known {
+	if _, known := s.Coverage("hammer-0000"); known {
 		t.Error("evicted run's curve still held")
 	}
-	// Progress-only runs respect the same bound.
+	// Progress-only (generation) runs respect the same bound, and
+	// progress without a run id tracks nothing.
 	s2 := NewSink()
 	for i := 0; i < maxRuns+extra; i++ {
-		s2.Emit(obs.Event{Kind: obs.KindProgress, Name: fmt.Sprintf("phase-%d", i), Done: 1, Total: 1, Start: now})
+		s2.Emit(obs.Event{Kind: obs.KindProgress, Run: fmt.Sprintf("generate-%d", i), Name: "generate", Done: 1, Total: 1, Start: now})
 	}
+	s2.Emit(obs.Event{Kind: obs.KindProgress, Name: "generate", Done: 1, Total: 1, Start: now})
 	if n := len(s2.Runs()); n != maxRuns {
 		t.Errorf("progress-only store holds %d runs, want %d", n, maxRuns)
 	}

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,17 +22,17 @@ const maxRunEvents = 256
 var obsRunsTracked = obs.NewGauge("telemetry_runs_tracked")
 
 // RunProgress is the JSON shape of one tracked run as served by /runs
-// and /runs/{id}. A "run" is one progress-reporting activity instance —
-// a fault-simulation campaign, a classification campaign, or a
-// generation loop — identified by the obs progress event stream.
+// and /runs/{id}. A "run" is one activity instance with a run id — a
+// fault-simulation campaign, a classification campaign, or a generation
+// loop — reconstructed from its run events.
 type RunProgress struct {
 	ID    string `json:"id"`
-	Phase string `json:"phase"` // the progress stream name, e.g. "campaign/simulate"
+	Phase string `json:"phase"` // the run's event name, e.g. "campaign/simulate"
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
 	// Percent is 100*Done/Total (0 when Total is 0).
 	Percent float64 `json:"percent"`
-	// Started/Updated are the first and latest progress event times.
+	// Started/Updated are the first and latest event times.
 	Started time.Time `json:"started"`
 	Updated time.Time `json:"updated"`
 	// ElapsedMS is Updated-Started; ETAMS extrapolates the remaining
@@ -46,125 +44,61 @@ type RunProgress struct {
 	// faults completed); both are zero for non-campaign runs.
 	Detected        int64   `json:"detected,omitempty"`
 	CoveragePercent float64 `json:"coverage_percent,omitempty"`
-	// Terminal marks a run that reached done == total.
+	// Terminal marks a run that reached done == total or whose run_end
+	// arrived.
 	Terminal bool `json:"terminal"`
 	// Rehydrated marks a run restored from a ledger journal written by
 	// an earlier process rather than observed live.
 	Rehydrated bool `json:"rehydrated,omitempty"`
 }
 
-// Sink tracks live run progress from the obs event stream. It
-// implements obs.Sink; register it with obs.AddSink (the obs.CLI -serve
-// path does this) and every progress and run-lifecycle event becomes
-// queryable run state. Safe for concurrent Emit and snapshot use.
+// Sink tracks live runs from the obs event stream. It implements
+// obs.Sink; register it with obs.AddSink (the obs.CLI -serve path does
+// this) and every run event becomes queryable run state. Safe for
+// concurrent Emit and snapshot use.
 type Sink struct {
 	mu   sync.Mutex
-	seq  int
 	runs []*runState
-
-	// detected/critical are shared handles onto the campaign-layer
-	// coverage gauges; reading them at each progress event freezes
-	// coverage-so-far into the run record without coupling the
-	// instrumentation sites to this package.
-	detected *obs.Gauge
-	critical *obs.Gauge
 }
 
-// runState is the mutable tracking record behind one RunProgress.
+// runState is the mutable tracking record behind one RunProgress. Its
+// done, total, detected and terminal state live in the curve, which
+// folds the run's events.
 type runState struct {
-	id       string
-	phase    string
-	done     int
-	total    int
-	started  time.Time
-	updated  time.Time
-	detected int64
-	terminal bool
-	// named marks a run keyed by an explicit flight-recorder run id
-	// (never matched by phase-name progress correlation).
-	named      bool
+	id         string
+	phase      string
+	started    time.Time
+	updated    time.Time
 	rehydrated bool
-	// curve folds this run's fault events into its coverage curve;
-	// events is the bounded journal tail. Both nil until the first
-	// run-lifecycle event arrives (plain progress-only runs stay lean).
-	curve  *ledger.CurveBuilder
+	curve      *ledger.CurveBuilder
+	// events is the bounded journal tail.
 	events []ledger.Entry
 }
 
 // NewSink returns an empty run tracker.
-func NewSink() *Sink {
-	return &Sink{
-		detected: obs.NewGauge("fault_campaign_detected_faults"),
-		critical: obs.NewGauge("fault_campaign_critical_faults"),
-	}
-}
+func NewSink() *Sink { return &Sink{} }
 
-// Emit consumes one obs event. Progress and run-lifecycle events mutate
-// run state; span and counter events are ignored (the /metrics endpoint
-// serves counters directly from the registry).
+// Emit consumes one obs event. Run events and generation progress fold
+// into the run named by the event's run id; spans, counter snapshots
+// and events without a run id are ignored (the /metrics endpoint serves
+// counters directly from the registry).
 func (s *Sink) Emit(e obs.Event) {
-	switch e.Kind {
-	case obs.KindProgress:
-		s.emitProgress(e)
-	case obs.KindRunStart, obs.KindFault, obs.KindRunEnd:
-		s.emitRunEvent(e)
+	if e.Run == "" {
+		return
 	}
-}
-
-// emitProgress folds a progress update into its run: by run id when the
-// event is run-correlated, else by phase-name heuristics (the pre-
-// flight-recorder behaviour, kept for uncorrelated emitters).
-func (s *Sink) emitProgress(e obs.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var r *runState
-	if e.Run != "" {
-		r = s.byIDLocked(e.Run, e.Name, e.Start)
-	} else {
-		r = s.activeLocked(e.Name, e.Done, e.Start)
-	}
-	r.done = e.Done
-	r.total = e.Total
-	r.updated = e.Start
-	if r.curve != nil {
-		r.detected = int64(r.curve.Detected())
-	} else if strings.HasPrefix(e.Name, "campaign/") {
-		r.detected = s.detected.Value()
-		if strings.HasSuffix(e.Name, "/classify") {
-			r.detected = s.critical.Value()
-		}
-	}
-	if r.total > 0 && r.done >= r.total {
-		r.terminal = true
-	}
-}
-
-// emitRunEvent folds a run-lifecycle event (run_start / fault /
-// run_end) into its run's curve state and journal tail.
-func (s *Sink) emitRunEvent(e obs.Event) {
-	entry, ok := ledger.EntryFromEvent(e)
-	if !ok {
+	entry, isRunEvent := ledger.EntryFromEvent(e)
+	if !isRunEvent && e.Kind != obs.KindProgress {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.byIDLocked(e.Run, e.Name, e.Start)
-	if r.curve == nil {
-		r.curve = ledger.NewCurveBuilder(r.id, r.phase)
-	}
-	r.curve.Apply(entry)
-	r.appendEventLocked(entry)
 	r.updated = e.Start
-	r.detected = int64(r.curve.Detected())
-	switch e.Kind {
-	case obs.KindRunStart:
-		r.total = e.Total
-	case obs.KindFault:
-		if d := r.curve.Done(); d > r.done {
-			r.done = d
-		}
-	case obs.KindRunEnd:
-		r.done, r.total, r.terminal = e.Done, e.Total, true
+	if isRunEvent {
+		r.curve.Apply(entry)
+		r.appendEventLocked(entry)
+	} else {
+		r.curve.Progress(e.Done, e.Total)
 	}
 }
 
@@ -178,39 +112,15 @@ func (r *runState) appendEventLocked(e ledger.Entry) {
 	r.events = append(r.events, e)
 }
 
-// byIDLocked returns the run keyed by an explicit run id, creating it
-// when unseen (events may arrive in any order near eviction).
+// byIDLocked returns the run with the given id, creating it when unseen
+// (events may arrive in any order near eviction).
 func (s *Sink) byIDLocked(id, phase string, start time.Time) *runState {
 	for i := len(s.runs) - 1; i >= 0; i-- {
 		if s.runs[i].id == id {
 			return s.runs[i]
 		}
 	}
-	r := &runState{id: id, phase: phase, started: start, named: true}
-	s.insertLocked(r)
-	return r
-}
-
-// activeLocked returns the current run for the named activity, starting
-// a new one when none exists, the previous one completed, or the done
-// count moved backwards (a fresh campaign reusing the name). Runs keyed
-// by explicit run ids are never matched — their progress arrives
-// run-correlated.
-func (s *Sink) activeLocked(name string, done int, start time.Time) *runState {
-	for i := len(s.runs) - 1; i >= 0; i-- {
-		r := s.runs[i]
-		if r.named {
-			continue
-		}
-		if r.phase == name && !r.terminal && r.done <= done {
-			return r
-		}
-		if r.phase == name {
-			break
-		}
-	}
-	s.seq++
-	r := &runState{id: fmt.Sprintf("run-%d", s.seq), phase: name, started: start}
+	r := &runState{id: id, phase: phase, started: start, curve: ledger.NewCurveBuilder(id, phase)}
 	s.insertLocked(r)
 	return r
 }
@@ -256,10 +166,9 @@ func (s *Sink) rehydrateRun(id string, entries []ledger.Entry) {
 			return
 		}
 	}
-	r := &runState{id: id, named: true, rehydrated: true}
-	b := ledger.NewCurveBuilder(id, "")
+	r := &runState{id: id, rehydrated: true, curve: ledger.NewCurveBuilder(id, "")}
 	for _, e := range entries {
-		b.Apply(e)
+		r.curve.Apply(e)
 		r.appendEventLocked(e)
 		if r.phase == "" && e.Name != "" {
 			r.phase = e.Name
@@ -270,13 +179,7 @@ func (s *Sink) rehydrateRun(id string, entries []ledger.Entry) {
 		if e.Time.After(r.updated) {
 			r.updated = e.Time
 		}
-		if e.Kind == string(obs.KindRunEnd) {
-			r.terminal = true
-		}
 	}
-	c := b.Curve()
-	r.curve = b
-	r.done, r.total, r.detected = c.Done, c.Total, int64(c.Detected)
 	s.insertLocked(r)
 }
 
@@ -303,22 +206,17 @@ func (s *Sink) Run(id string) (RunProgress, bool) {
 	return RunProgress{}, false
 }
 
-// Coverage returns the run's derived coverage curve. The second result
-// is false when the run is unknown; the third is false when the run is
-// tracked but recorded no lifecycle events (progress-only runs have no
-// curve).
-func (s *Sink) Coverage(id string) (ledger.Curve, bool, bool) {
+// Coverage returns the run's derived coverage curve; false when the run
+// is unknown.
+func (s *Sink) Coverage(id string) (ledger.Curve, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range s.runs {
 		if r.id == id {
-			if r.curve == nil {
-				return ledger.Curve{}, true, false
-			}
-			return r.curve.Curve(), true, true
+			return r.curve.Curve(), true
 		}
 	}
-	return ledger.Curve{}, false, false
+	return ledger.Curve{}, false
 }
 
 // Events returns the run's retained journal tail (oldest first).
@@ -336,34 +234,35 @@ func (s *Sink) Events(id string) ([]ledger.Entry, bool) {
 // progress derives the served view from the tracking record. Callers
 // hold the sink lock.
 func (r *runState) progress() RunProgress {
+	done, total := r.curve.Done(), r.curve.Total()
 	p := RunProgress{
 		ID:         r.id,
 		Phase:      r.phase,
-		Done:       r.done,
-		Total:      r.total,
+		Done:       done,
+		Total:      total,
 		Started:    r.started,
 		Updated:    r.updated,
-		Detected:   r.detected,
-		Terminal:   r.terminal,
+		Detected:   int64(r.curve.Detected()),
+		Terminal:   r.curve.Terminal() || (total > 0 && done >= total),
 		Rehydrated: r.rehydrated,
 		ETAMS:      -1,
 	}
-	if r.total > 0 {
-		p.Percent = 100 * float64(r.done) / float64(r.total)
+	if total > 0 {
+		p.Percent = 100 * float64(done) / float64(total)
 	}
-	if r.done > 0 {
-		p.CoveragePercent = 100 * float64(r.detected) / float64(r.done)
+	if done > 0 {
+		p.CoveragePercent = 100 * float64(p.Detected) / float64(done)
 	}
 	elapsed := r.updated.Sub(r.started)
 	if elapsed > 0 {
 		p.ElapsedMS = elapsed.Milliseconds()
 	}
 	switch {
-	case r.terminal:
+	case p.Terminal:
 		p.ETAMS = 0
-	case r.done > 0 && elapsed > 0 && r.total > r.done:
-		perItem := float64(elapsed) / float64(r.done)
-		p.ETAMS = time.Duration(perItem * float64(r.total-r.done)).Milliseconds()
+	case done > 0 && elapsed > 0 && total > done:
+		perItem := float64(elapsed) / float64(done)
+		p.ETAMS = time.Duration(perItem * float64(total-done)).Milliseconds()
 	}
 	return p
 }

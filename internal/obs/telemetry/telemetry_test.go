@@ -204,9 +204,10 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 		return RunProgress{}, false
 	}
 
-	// The classify reporter emits every 64 completions, so this campaign
-	// produces several live snapshots; each /runs read mid-campaign must
-	// see a done count that never moves backwards.
+	// The Progress callback fires every 64 completions, so this campaign
+	// takes several live snapshots; each /runs read mid-campaign must see
+	// a done count that never moves backwards. Every tick follows its
+	// fault event, so the run is visible from the first callback on.
 	var mu sync.Mutex
 	lastDone, snapshots := -1, 0
 	cls, err := fault.ClassifyWith(net, faults, samples, fault.CampaignOptions{
@@ -216,8 +217,7 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 			defer mu.Unlock()
 			r, ok := classifyRun(fetchRuns())
 			if !ok {
-				// The reporter invokes this callback before the obs sink,
-				// so the very first emission has not reached /runs yet.
+				t.Error("campaign/classify run missing from /runs mid-campaign")
 				return
 			}
 			if r.Done < lastDone {
@@ -248,7 +248,14 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 		t.Errorf("terminal run ETA = %d, want 0", r.ETAMS)
 	}
 
-	// /runs/{id} serves the same record; unknown ids 404.
+	// /runs/{id} serves the same record, reconciled exactly with the
+	// final CampaignResult; unknown ids 404.
+	critical := 0
+	for _, c := range cls.Critical {
+		if c {
+			critical++
+		}
+	}
 	resp, err := http.Get(ts.URL + "/runs/" + r.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +265,8 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if byID.ID != r.ID || byID.Done != r.Done {
-		t.Errorf("/runs/%s = %+v, want %+v", r.ID, byID, r)
+	if byID.ID != r.ID || byID.Done != len(cls.Critical) || byID.Detected != int64(critical) || !byID.Terminal {
+		t.Errorf("/runs/%s = %+v, want terminal with done %d and detected %d", r.ID, byID, len(cls.Critical), critical)
 	}
 	resp, err = http.Get(ts.URL + "/runs/no-such-run")
 	if err != nil {
@@ -270,21 +277,11 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 		t.Errorf("/runs/no-such-run status = %d, want 404", resp.StatusCode)
 	}
 
-	// The scraped campaign gauges must reconcile exactly with the final
-	// CampaignResult — the acceptance contract for live fault coverage.
-	critical := 0
-	for _, c := range cls.Critical {
-		if c {
-			critical++
-		}
-	}
+	// The scraped campaign counters reconcile with the same result.
 	mets := parseExposition(t, scrape(t, s.Handler()))
 	for series, want := range map[string]float64{
-		"fault_campaign_done_faults":     float64(len(faults)),
-		"fault_campaign_total_faults":    float64(len(faults)),
-		"fault_campaign_critical_faults": float64(critical),
-		"fault_classified_total":         float64(len(faults)),
-		"fault_critical_total":           float64(critical),
+		"fault_classified_total": float64(len(faults)),
+		"fault_critical_total":   float64(critical),
 	} {
 		if got := mets[series]; got != want {
 			t.Errorf("scraped %s = %v, want %v", series, got, want)
@@ -292,9 +289,6 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 	}
 	if got := mets["fault_simulation_seconds_count"]; got != float64(len(faults)) {
 		t.Errorf("fault_simulation_seconds_count = %v, want %v", got, len(faults))
-	}
-	if r.Detected != int64(critical) {
-		t.Errorf("run detected = %d, want critical count %d", r.Detected, critical)
 	}
 }
 
@@ -310,9 +304,6 @@ func TestSimulateCoverageReconciles(t *testing.T) {
 	}
 
 	mets := parseExposition(t, scrape(t, s.Handler()))
-	if got, want := mets["fault_campaign_detected_faults"], float64(sim.NumDetected()); got != want {
-		t.Errorf("fault_campaign_detected_faults = %v, want NumDetected %v", got, want)
-	}
 	if got, want := mets["fault_detected_total"], float64(sim.NumDetected()); got != want {
 		t.Errorf("fault_detected_total = %v, want %v", got, want)
 	}
@@ -323,8 +314,15 @@ func TestSimulateCoverageReconciles(t *testing.T) {
 			run = r
 		}
 	}
-	if run.ID == "" || !run.Terminal {
-		t.Fatalf("no terminal campaign/simulate run: %+v", run)
+	if run.ID == "" {
+		t.Fatal("no campaign/simulate run tracked")
+	}
+	// /runs/{id} reconciles exactly with the CampaignResult.
+	if code := getJSON(t, s.Handler(), "/runs/"+run.ID, &run); code != http.StatusOK {
+		t.Fatalf("/runs/%s status = %d", run.ID, code)
+	}
+	if !run.Terminal || run.Done != len(sim.Detected) || run.Total != len(sim.Detected) {
+		t.Errorf("run = %+v, want terminal with done == total == %d", run, len(sim.Detected))
 	}
 	if run.Detected != int64(sim.NumDetected()) {
 		t.Errorf("run detected = %d, want %d", run.Detected, sim.NumDetected())

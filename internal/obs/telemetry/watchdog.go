@@ -55,7 +55,7 @@ func NewWatchdog(sink *Sink, dir string, deadline time.Duration) *Watchdog {
 
 // Start launches the sweep loop. The sweep cadence is a quarter of the
 // deadline (floored at 100ms), so a stall is detected at most 1.25
-// deadlines after the last progress event.
+// deadlines after the run's last event.
 func (w *Watchdog) Start() {
 	interval := w.deadline / 4
 	if interval < 100*time.Millisecond {

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -31,15 +32,14 @@ func (n *Network) weightTensors() [][]float64 {
 
 // SaveWeights writes the network's weights to w with encoding/gob.
 func (n *Network) SaveWeights(w io.Writer) error {
-	f := weightsFile{Name: n.Name}
-	for _, t := range n.weightTensors() {
-		f.Tensors = append(f.Tensors, t)
-	}
-	return gob.NewEncoder(w).Encode(&f)
+	return gob.NewEncoder(w).Encode(&weightsFile{Name: n.Name, Tensors: n.weightTensors()})
 }
 
 // LoadWeights reads weights previously written by SaveWeights into the
-// network, which must have the identical architecture.
+// network, which must have the identical architecture. The whole file is
+// validated first — tensor count, every tensor's length, every value
+// finite — and only then copied, so a rejected file leaves the network's
+// weights untouched.
 func (n *Network) LoadWeights(r io.Reader) error {
 	var f weightsFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
@@ -53,22 +53,38 @@ func (n *Network) LoadWeights(r io.Reader) error {
 		if len(f.Tensors[i]) != len(dst) {
 			return fmt.Errorf("snn: weight tensor %d has %d elements, expected %d", i, len(f.Tensors[i]), len(dst))
 		}
+		for j, v := range f.Tensors[i] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("snn: weight tensor %d element %d is %v", i, j, v)
+			}
+		}
+	}
+	for i, dst := range ts {
 		copy(dst, f.Tensors[i])
 	}
 	return nil
 }
 
-// SaveWeightsFile writes the network's weights to the named file.
+// SaveWeightsFile writes the network's weights to the named file. It
+// writes a temp file next to it and renames that into place, so a crash
+// mid-write never leaves a truncated weights file behind.
 func (n *Network) SaveWeightsFile(path string) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := n.SaveWeights(f); err != nil {
-		return err
+	err = n.SaveWeights(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+	}
+	return err
 }
 
 // LoadWeightsFile reads weights from the named file.

@@ -2,7 +2,11 @@ package snn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	ag "github.com/repro/snntest/internal/autograd"
@@ -270,4 +274,118 @@ func TestLoadWeightsRejectsMismatch(t *testing.T) {
 	if err := a.LoadWeights(&buf); err == nil {
 		t.Error("loading mismatched weights must fail")
 	}
+}
+
+// encodeWeights gob-encodes a hand-built weights file.
+func encodeWeights(t testing.TB, f weightsFile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// weightsSnapshot copies every weight tensor of n.
+func weightsSnapshot(n *Network) [][]float64 {
+	var out [][]float64
+	for _, w := range n.weightTensors() {
+		out = append(out, append([]float64(nil), w...))
+	}
+	return out
+}
+
+// sameBits reports whether two weight snapshots are bit-identical.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestLoadWeightsRejectsWithoutPartialWrite pins validate-then-commit: a
+// file whose last tensor has the wrong length, or whose values include a
+// NaN or an Inf, is rejected and leaves every weight bit-identical.
+func TestLoadWeightsRejectsWithoutPartialWrite(t *testing.T) {
+	src := recurrentNet(26)
+	for name, mutate := range map[string]func(ts [][]float64){
+		"last tensor short": func(ts [][]float64) { ts[len(ts)-1] = ts[len(ts)-1][:len(ts[len(ts)-1])-1] },
+		"NaN in last":       func(ts [][]float64) { ts[len(ts)-1][0] = math.NaN() },
+		"Inf in last":       func(ts [][]float64) { ts[len(ts)-1][0] = math.Inf(-1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts := weightsSnapshot(src)
+			mutate(ts)
+			dst := recurrentNet(27)
+			before := weightsSnapshot(dst)
+			if err := dst.LoadWeights(bytes.NewReader(encodeWeights(t, weightsFile{Name: src.Name, Tensors: ts}))); err == nil {
+				t.Fatal("LoadWeights accepted a bad file")
+			}
+			if !sameBits(before, weightsSnapshot(dst)) {
+				t.Error("rejected load modified the network's weights")
+			}
+		})
+	}
+}
+
+// TestSaveWeightsFileAtomic checks the file round trip and that the
+// write leaves no temp file behind.
+func TestSaveWeightsFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "w.gob")
+	a, b := recurrentNet(28), recurrentNet(29)
+	if err := a.SaveWeightsFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.LoadWeightsFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(weightsSnapshot(a), weightsSnapshot(b)) {
+		t.Error("file round trip changed the weights")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries after save, want only the weights file", len(entries))
+	}
+}
+
+// FuzzLoadWeights feeds arbitrary bytes to LoadWeights: it must either
+// fail with the weights untouched or succeed with every weight finite.
+func FuzzLoadWeights(f *testing.F) {
+	var buf bytes.Buffer
+	if err := recurrentNet(30).SaveWeights(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := recurrentNet(31)
+		before := weightsSnapshot(n)
+		if err := n.LoadWeights(bytes.NewReader(data)); err != nil {
+			if !sameBits(before, weightsSnapshot(n)) {
+				t.Fatalf("failed load (%v) modified the weights", err)
+			}
+			return
+		}
+		for _, w := range n.weightTensors() {
+			for _, v := range w {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("loaded non-finite weight %v", v)
+				}
+			}
+		}
+	})
 }

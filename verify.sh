@@ -10,11 +10,23 @@
 set -eu
 cd "$(dirname "$0")"
 
+# Formatting gate, the same check CI runs first: any file gofmt would
+# rewrite fails the gate.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "verify.sh: gofmt needs to be run on:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go build ./...
 go vet ./...
 # The incremental driver caches per-package results keyed by content
 # hash: repeat verify runs skip re-analyzing unchanged packages.
 go run ./cmd/snnlint -cache .snnlint-cache.json ./...
+# The race run covers every package, the obs layer and the telemetry
+# server included: spans and counters are hit from every campaign and
+# generation worker, and the live server's exposition format, /runs
+# tracking and lifecycle must be race-clean.
 go test -race ./...
 # Gradient gate: finite-difference checks of every autograd op plus the
 # AST audit that fails when an op lacks a gradcheck case.
@@ -33,18 +45,13 @@ go test -run Equiv -count=2 ./...
 # must keep rejecting/bit-matching as documented. The fused-vs-reference
 # equivalence suite itself already runs under the Equiv gate above.
 go test -run 'ZeroAlloc|TestScratch|TestStepLayer' ./internal/snn/
-# Observability gate: the obs layer must be race-clean (spans and
-# counters are hit from every campaign/generation worker), and the
-# quickstart trace tests assert that a -trace run emits parseable JSONL
-# covering calibrate → generate → compact → campaign with counters that
-# reconcile against the printed results, while leaving stdout
-# byte-identical to a dark run.
-go test -race ./internal/obs/
+# Observability gate: the quickstart trace tests assert that a -trace
+# run emits parseable JSONL covering calibrate → generate → compact →
+# campaign, with counters that reconcile against the printed results and
+# one fault event per simulated fault, while leaving stdout
+# byte-identical to a dark run; an interrupted quickstart must still
+# flush a complete trace (graceful SIGINT shutdown).
 go test -run 'TestRunTrace' ./examples/quickstart/
-# Telemetry gate: the live server's exposition format, /runs tracking
-# and lifecycle must be race-clean, and an interrupted quickstart must
-# still flush a complete trace (graceful SIGINT shutdown).
-go test -race ./internal/obs/telemetry/
 go test -run 'TestSigintFlushesTrace' ./examples/quickstart/
 # Perf-regression sentinel: gate the latest trajectory record's ratio
 # metrics against the median of prior same-source records. A missing
