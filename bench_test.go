@@ -27,7 +27,6 @@ import (
 	"github.com/repro/snntest/internal/core"
 	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/fault"
-	"github.com/repro/snntest/internal/lint"
 	"github.com/repro/snntest/internal/obs"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
@@ -725,90 +724,4 @@ func BenchmarkExtendedFaultModel(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(extended)), "faults")
 	b.ReportMetric(100*float64(detected)/float64(len(extended)), "fc%")
-}
-
-// lintBenchRow is the BENCH_lint.json record of the snnlint driver's
-// wall-clock at each operating point: serial cold, parallel cold, and
-// parallel with a warm content-hash cache.
-type lintBenchRow struct {
-	Packages       int     `json:"packages"`
-	Analyzers      int     `json:"analyzers"`
-	Workers        int     `json:"workers"`
-	SerialColdMS   float64 `json:"serial_cold_ms"`
-	ParallelColdMS float64 `json:"parallel_cold_ms"`
-	WarmCachedMS   float64 `json:"warm_cached_ms"`
-	ParallelX      float64 `json:"parallel_x"`
-	CachedX        float64 `json:"cached_x"`
-}
-
-// BenchmarkLintDriver times the static-analysis driver over the whole
-// module: the timed loop is the warm-cache incremental path (the
-// editor/CI steady state), and the one-shot serial-cold versus
-// parallel-cold versus warm comparison is written to BENCH_lint.json
-// (override the path with BENCH_LINT_OUT). cached_x is the headline the
-// driver exists for: warm incremental runs versus a from-scratch serial
-// walk.
-func BenchmarkLintDriver(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	time1 := func(opts lint.Options) (*lint.Result, time.Duration) {
-		start := time.Now()
-		res, err := lint.AnalyzeModule(".", lint.All(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, time.Since(start)
-	}
-	cache := b.TempDir() + "/lint-cache.json"
-	resSerial, tSerial := time1(lint.Options{Workers: 1})
-	_, tParallel := time1(lint.Options{Workers: workers, CachePath: cache})
-
-	var resWarm *lint.Result
-	var tWarm time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resWarm, tWarm = time1(lint.Options{Workers: workers, CachePath: cache})
-	}
-	b.StopTimer()
-	if resWarm.Stats.Cached != resWarm.Stats.Packages {
-		b.Fatalf("warm run missed the cache: %+v", resWarm.Stats)
-	}
-	if len(resWarm.Diagnostics) != len(resSerial.Diagnostics) {
-		b.Fatalf("warm diagnostics diverge from serial: %d vs %d",
-			len(resWarm.Diagnostics), len(resSerial.Diagnostics))
-	}
-	row := lintBenchRow{
-		Packages:       resWarm.Stats.Packages,
-		Analyzers:      len(lint.All()),
-		Workers:        workers,
-		SerialColdMS:   float64(tSerial.Microseconds()) / 1e3,
-		ParallelColdMS: float64(tParallel.Microseconds()) / 1e3,
-		WarmCachedMS:   float64(tWarm.Microseconds()) / 1e3,
-		ParallelX:      float64(tSerial) / float64(tParallel),
-		CachedX:        float64(tSerial) / float64(tWarm),
-	}
-	b.ReportMetric(row.ParallelX, "parallel-x")
-	b.ReportMetric(row.CachedX, "cached-x")
-	printArtifact("lint-json", func() {
-		out := os.Getenv("BENCH_LINT_OUT")
-		if out == "" {
-			out = "BENCH_lint.json"
-		}
-		data, err := json.MarshalIndent(row, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("lint driver timing written to %s (parallel %.2fx, warm cache %.2fx over serial cold)\n\n",
-			out, row.ParallelX, row.CachedX)
-		appendTrajectory(b, "bench:lint", map[string]float64{
-			"packages":         float64(row.Packages),
-			"serial_cold_ms":   row.SerialColdMS,
-			"parallel_cold_ms": row.ParallelColdMS,
-			"warm_cached_ms":   row.WarmCachedMS,
-			"parallel_x":       row.ParallelX,
-			"cached_x":         row.CachedX,
-		})
-	})
 }

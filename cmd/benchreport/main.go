@@ -10,8 +10,6 @@
 //	            [-trajectory BENCH_trajectory.json] [-trace out.jsonl]
 //	            [-serve :9090] [-profile-dir DIR] [-cpuprofile f] [-memprofile f]
 //	            [-check] [-check-window N] [-check-min N] [-check-tol F]
-//	            [-profile cpu.pprof] [-profile-out BENCH_profile.json]
-//	            [-profile-min-labeled F] [-profile-kernel-min F]
 //
 // -check runs the perf-regression sentinel instead of the report: the
 // latest trajectory record of every source has its ratio (*_x) metrics
@@ -19,14 +17,12 @@
 // drop beyond the tolerance exits nonzero. verify.sh and CI invoke it
 // so benchmark ratios cannot silently decay across revisions.
 //
-// -profile analyzes a pprof CPU profile captured with phase labelling
-// on (any -profile-dir/-cpuprofile run, or /debug/pprof/profile): the
-// samples are folded by their `phase` label into a per-phase flat/cum
-// CPU table, written both to stdout and to the -profile-out JSON
-// artifact. The optional gates fail the run when too few samples carry
-// a phase label (-profile-min-labeled) or when the fused-kernel phases
-// hold too little of the generate subtree's CPU (-profile-kernel-min) —
-// verify.sh runs both so attribution regressions surface in CI.
+// A -profile-dir capture is phase-labelled (every span tags its
+// goroutine with pprof label phase=<span name>); read it with the
+// toolchain, e.g. `go tool pprof -tags DIR/benchreport.cpu.pprof` for
+// the per-phase CPU table or `-tagfocus='phase=^campaign(/|$)'` to
+// narrow any report to one subtree. verify.sh gates the attribution of
+// a snntestgen capture the same way.
 //
 // With no artifact flags, -all is implied. Tables I–III run on every
 // selected benchmark; Table IV and the figures follow the paper's choices
@@ -71,31 +67,24 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	var ocli obs.CLI
 	ocli.Register(fs)
 	var (
-		scaleFlag   = fs.String("scale", "tiny", "model scale: tiny, small or full")
-		seed        = fs.Int64("seed", 1, "random seed for every stochastic component")
-		workers     = fs.Int("workers", 0, "fault-campaign workers (0 = GOMAXPROCS)")
-		epochs      = fs.Int("epochs", 0, "training epochs (0 = scale default)")
-		table       = fs.Int("table", 0, "render one table (1-4)")
-		fig         = fs.Int("fig", 0, "render one figure (7-9)")
-		ablations   = fs.Bool("ablations", false, "run the ablation study")
-		forward     = fs.Bool("forward", false, "render the fused-vs-reference forward kernel timing table")
-		all         = fs.Bool("all", false, "render every table, figure and ablation")
-		benchList   = fs.String("bench", strings.Join(experiments.Benchmarks, ","), "comma-separated benchmarks")
-		outPath     = fs.String("out", "", "write the report to this file (default: stdout)")
-		obsMode     = fs.Bool("obs", false, "collect run counters and write a run manifest")
-		manifest    = fs.String("manifest", "BENCH_manifest.json", "manifest path for -obs")
-		trajectory  = fs.String("trajectory", "BENCH_trajectory.json", "cumulative per-run trajectory path for -obs")
-		check       = fs.Bool("check", false, "perf-regression sentinel: gate the trajectory's latest ratio metrics against their history and exit nonzero on regression")
-		checkWin    = fs.Int("check-window", checkWindow, "sentinel baseline window (median of up to N prior same-source records)")
-		checkMin    = fs.Int("check-min", checkMinHistory, "sentinel minimum prior records before a metric gates")
-		checkTolF   = fs.Float64("check-tol", checkTol, "sentinel regression tolerance as a fraction of baseline")
-		profile     = fs.String("profile", "", "analyze a pprof CPU profile: fold samples by phase label, render the per-phase table and write the -profile-out artifact")
-		profOut     = fs.String("profile-out", "BENCH_profile.json", "phase-attribution artifact path for -profile")
-		profKern    = fs.String("profile-kernel", defaultKernelPhases, "comma-separated kernel phases for the attribution gate")
-		profRoot    = fs.String("profile-root", "generate", "phase subtree the kernel share is measured against")
-		profLabMin  = fs.Float64("profile-min-labeled", 0, "fail unless at least this fraction of samples carries a phase label (0 = no gate)")
-		profKernMin = fs.Float64("profile-kernel-min", 0, "fail unless the kernel phases hold at least this fraction of the -profile-root subtree's CPU (0 = no gate)")
-		profMinSamp = fs.Int("profile-min-samples", 50, "skip the -profile gates (with a note) below this sample count")
+		scaleFlag  = fs.String("scale", "tiny", "model scale: tiny, small or full")
+		seed       = fs.Int64("seed", 1, "random seed for every stochastic component")
+		workers    = fs.Int("workers", 0, "fault-campaign workers (0 = GOMAXPROCS)")
+		epochs     = fs.Int("epochs", 0, "training epochs (0 = scale default)")
+		table      = fs.Int("table", 0, "render one table (1-4)")
+		fig        = fs.Int("fig", 0, "render one figure (7-9)")
+		ablations  = fs.Bool("ablations", false, "run the ablation study")
+		forward    = fs.Bool("forward", false, "render the fused-vs-reference forward kernel timing table")
+		all        = fs.Bool("all", false, "render every table, figure and ablation")
+		benchList  = fs.String("bench", strings.Join(experiments.Benchmarks, ","), "comma-separated benchmarks")
+		outPath    = fs.String("out", "", "write the report to this file (default: stdout)")
+		obsMode    = fs.Bool("obs", false, "collect run counters and write a run manifest")
+		manifest   = fs.String("manifest", "BENCH_manifest.json", "manifest path for -obs")
+		trajectory = fs.String("trajectory", "BENCH_trajectory.json", "cumulative per-run trajectory path for -obs")
+		check      = fs.Bool("check", false, "perf-regression sentinel: gate the trajectory's latest ratio metrics against their history and exit nonzero on regression")
+		checkWin   = fs.Int("check-window", checkWindow, "sentinel baseline window (median of up to N prior same-source records)")
+		checkMin   = fs.Int("check-min", checkMinHistory, "sentinel minimum prior records before a metric gates")
+		checkTolF  = fs.Float64("check-tol", checkTol, "sentinel regression tolerance as a fraction of baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -103,10 +92,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *check {
 		// The sentinel is a pure file check: no pipelines, no obs setup.
 		return runCheck(stdout, *trajectory, *checkWin, *checkMin, *checkTolF)
-	}
-	if *profile != "" {
-		// Like -check: pure file analysis, deterministic per profile.
-		return runProfile(stdout, *profile, *profOut, *profKern, *profRoot, *profLabMin, *profKernMin, *profMinSamp)
 	}
 	ocli.ForceEnable = ocli.ForceEnable || *obsMode
 	log, stop, err := ocli.Start(stderr)

@@ -6,16 +6,16 @@
 //
 //	go run ./cmd/snnlint ./...
 //	go run ./cmd/snnlint -json ./...
-//	go run ./cmd/snnlint -cache .snnlint-cache.json ./...
 //	go run ./cmd/snnlint -list
 //
 // The module is always analyzed as a whole (package patterns are
 // accepted for command-line symmetry with go vet but do not narrow the
-// walk) through the incremental parallel driver: -cache persists
-// per-package results keyed by content hash so unchanged packages skip
-// parsing and type-checking, -workers bounds the concurrency (the output
-// is identical for every value). See internal/lint
-// for the analyzers and README.md for how to add one. snnlint shares the
+// walk): every package is parsed and type-checked from source, with
+// standard-library types read from the export data `go list -export`
+// reports, so a cold run over this repo takes well under a second.
+// -workers bounds the parse and analysis concurrency (the output is
+// identical for every value). See internal/lint for the analyzers and
+// README.md for how to add one. snnlint shares the
 // repo-wide observability flags (-v, -quiet, -trace, -serve,
 // -profile-dir, -cpuprofile, -memprofile) with the other cmds.
 package main
@@ -58,8 +58,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 	ocli.Register(fs)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	workers := fs.Int("workers", 0, "type-check/analysis concurrency (0 = GOMAXPROCS; output is identical for every value)")
-	cachePath := fs.String("cache", "", "persistent per-package diagnostics cache file (empty = no cache)")
+	workers := fs.Int("workers", 0, "parse/analysis concurrency (0 = GOMAXPROCS; output is identical for every value)")
 	if err := fs.Parse(args); err != nil {
 		return 0, err
 	}
@@ -80,7 +79,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 		return 0, nil
 	}
 
-	res, err := lint.AnalyzeModule(dir, lint.All(), lint.Options{Workers: *workers, CachePath: *cachePath})
+	res, err := lint.AnalyzeModule(dir, lint.All(), lint.Options{Workers: *workers})
 	if err != nil {
 		return 0, err
 	}
@@ -102,7 +101,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 			fmt.Fprintln(stdout, d)
 		}
 	}
-	fmt.Fprintf(stderr, "snnlint: %d package(s): %d analyzed, %d cached; %d suppressed, %d finding(s) in %v\n",
-		st.Packages, st.Analyzed, st.Cached, st.Suppressed, len(res.Diagnostics), st.Wall.Round(time.Millisecond))
+	fmt.Fprintf(stderr, "snnlint: %d package(s); %d suppressed, %d finding(s) in %v\n",
+		st.Packages, st.Suppressed, len(res.Diagnostics), st.Wall.Round(time.Millisecond))
 	return len(res.Diagnostics), nil
 }

@@ -24,7 +24,7 @@
 // live over HTTP (/metrics, /runs, /debug/pprof); -v / -quiet tune the
 // stderr narration. -profile-dir writes phase-labelled
 // snntestgen.{cpu,heap}.pprof profiles (analyze with
-// `benchreport -profile`); -cpuprofile / -memprofile override the paths.
+// `go tool pprof -tags`); -cpuprofile / -memprofile override the paths.
 // -stall-timeout (with -serve and -ledger) dumps goroutine snapshots of
 // flatlined runs into the ledger directory.
 // SIGINT/SIGTERM cancel generation gracefully — the partial stimulus is

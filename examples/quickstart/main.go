@@ -8,7 +8,7 @@
 // (span tree + counters), -serve :9090 to watch the run live
 // (/metrics, /runs, /debug/pprof), -v / -quiet to tune narration, and
 // -profile-dir (or -cpuprofile / -memprofile) to capture phase-labelled
-// pprof profiles — `benchreport -profile` folds them by pipeline phase.
+// pprof profiles — `go tool pprof -tags` splits them by pipeline phase.
 // -stall-timeout with -serve and -ledger arms the stall watchdog.
 // SIGINT/SIGTERM cancel the run gracefully: the partial result is
 // reported and the trace is flushed intact.

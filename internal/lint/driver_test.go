@@ -107,82 +107,6 @@ func TestDriverDeterministicOnRealModule(t *testing.T) {
 	}
 }
 
-// TestDriverCacheWarmAndInvalidation checks the three cache regimes:
-// cold (everything analyzed), warm (everything cached, identical
-// output), and after editing one package (only it and its dependents
-// re-analyzed, output reflecting the edit).
-func TestDriverCacheWarmAndInvalidation(t *testing.T) {
-	dir := dirtyModule(t)
-	cache := filepath.Join(dir, "cache.json")
-	opts := Options{CachePath: cache}
-
-	cold, err := AnalyzeModule(dir, All(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Stats.Cached != 0 || cold.Stats.Analyzed != cold.Stats.Packages {
-		t.Fatalf("cold run: %+v", cold.Stats)
-	}
-
-	warm, err := AnalyzeModule(dir, All(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.Analyzed != 0 || warm.Stats.Cached != warm.Stats.Packages {
-		t.Fatalf("warm run did not serve everything from cache: %+v", warm.Stats)
-	}
-	if !reflect.DeepEqual(warm.Diagnostics, cold.Diagnostics) {
-		t.Errorf("warm diagnostics differ:\ncold %v\nwarm %v", cold.Diagnostics, warm.Diagnostics)
-	}
-
-	// Fix package a's float comparison: a and its dependents (b, c) get
-	// new action IDs; nothing else must be re-analyzed.
-	src, err := os.ReadFile(filepath.Join(dir, "a/a.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := strings.Replace(string(src), "return x == y", "return x < y || x > y", 1)
-	if fixed == string(src) {
-		t.Fatal("edit did not apply")
-	}
-	if err := os.WriteFile(filepath.Join(dir, "a/a.go"), []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	edited, err := AnalyzeModule(dir, All(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if edited.Stats.Analyzed != 3 {
-		t.Errorf("edit should re-analyze a, b and c, got %+v", edited.Stats)
-	}
-	if len(edited.Diagnostics) != len(cold.Diagnostics)-1 {
-		t.Errorf("fixed finding still reported: %v", edited.Diagnostics)
-	}
-	for _, d := range edited.Diagnostics {
-		if strings.Contains(d.File, "a.go") && d.Analyzer == "floateq" {
-			t.Errorf("stale floateq finding survived the edit: %v", d)
-		}
-	}
-}
-
-// TestDriverCacheCorruptionIsCold asserts corruption downgrades to a
-// cold run instead of failing.
-func TestDriverCacheCorruptionIsCold(t *testing.T) {
-	dir := dirtyModule(t)
-	cache := filepath.Join(dir, "cache.json")
-	if err := os.WriteFile(cache, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := AnalyzeModule(dir, All(), Options{CachePath: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Cached != 0 || res.Stats.Analyzed != res.Stats.Packages {
-		t.Errorf("corrupt cache was not treated as cold: %+v", res.Stats)
-	}
-}
-
 // TestSuppressDirectives covers the directive pipeline: trailing and
 // own-line directives suppress, unused and malformed directives are
 // themselves findings.

@@ -295,7 +295,7 @@ func findFuncDecl(p *Pass, fn *types.Func) (*ast.FuncDecl, *types.Info) {
 	if fd := search(p.Files, p.Info); fd != nil {
 		return fd, p.Info
 	}
-	if pkg, ok := p.Module.byPath[fn.Pkg().Path()]; ok && pkg.parsed && pkg.Info != nil {
+	if pkg, ok := p.Module.byPath[fn.Pkg().Path()]; ok && pkg.Info != nil {
 		if fd := search(pkg.Files, pkg.Info); fd != nil {
 			return fd, pkg.Info
 		}

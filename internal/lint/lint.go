@@ -27,14 +27,14 @@
 //     audited equality helpers,
 //   - deferloop: no defer statements inside for/range loops.
 //
-// The cmd/snnlint CLI drives these over the whole module through the
-// incremental parallel driver (AnalyzeModule): per-package diagnostics
-// are cached keyed by a content-hash action ID, unchanged packages skip
-// parsing and type-checking entirely, and the rest are type-checked and
-// analyzed concurrently with deterministic, worker-count-independent
-// output. Findings are filtered through //lint:ignore suppression
-// directives (with an unused-directive check). verify.sh wires the suite
-// into the tier-1+ gate.
+// The cmd/snnlint CLI drives these over the whole module through
+// AnalyzeModule: the module's files are parsed in parallel, its packages
+// type-checked from source dependencies-first with standard-library
+// types read from the gc export data `go list -export` reports, and
+// every package analyzed concurrently with deterministic,
+// worker-count-independent output. Findings are filtered through
+// //lint:ignore suppression directives (with an unused-directive
+// check). verify.sh wires the suite into the tier-1+ gate.
 package lint
 
 import (
@@ -42,9 +42,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-
-	"github.com/repro/snntest/internal/pool"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -100,29 +97,13 @@ func All() []*Analyzer {
 	}
 }
 
-// Run applies the analyzers to every package of a fully loaded module
-// (see LoadModule) plus the module-level go.mod dependency check,
-// honoring //lint:ignore suppressions, and returns diagnostics sorted by
-// file, line and column. Packages are analyzed concurrently; the output
-// is identical to a serial run. Incremental callers with a cache use
-// AnalyzeModule instead.
+// Run applies the analyzers to every package of a loaded module (see
+// LoadModule) plus the module-level go.mod dependency check, honoring
+// //lint:ignore suppressions, and returns diagnostics sorted by file,
+// line and column. Packages are analyzed concurrently; the output is
+// identical to a serial run.
 func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	perPkg := make([][]Diagnostic, len(mod.Pkgs))
-	pool.Run(0, len(mod.Pkgs), func(i int) {
-		pkg := mod.Pkgs[i]
-		raw := analyzePackage(mod, pkg, analyzers)
-		perPkg[i], _ = applySuppressions(mod, pkg, raw)
-	})
-	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
-	}
-	for _, a := range analyzers {
-		if a == StdlibOnly {
-			diags = append(diags, goModDiagnostics(mod)...)
-		}
-	}
-	sort.Slice(diags, func(i, j int) bool { return diagLess(diags[i], diags[j]) })
+	diags, _ := analyze(mod, analyzers, 0)
 	return diags
 }
 

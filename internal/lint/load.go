@@ -1,47 +1,39 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/repro/snntest/internal/pool"
 )
 
-// Package is one package of the module. ScanModule populates the cheap
-// metadata (directory, file bytes, import graph, content hash); the full
-// ASTs and type information are filled in lazily by EnsureChecked, so a
-// cache-hit run never pays for parsing bodies or type-checking.
+// Package is one package of the module with its parsed non-test files
+// and their type information.
 type Package struct {
 	Path  string // import path
 	Dir   string
-	Files []*ast.File // non-test files; nil until parsed by EnsureChecked
+	Files []*ast.File // non-test files, sorted by name
 	Types *types.Package
 	Info  *types.Info
 
-	fileNames []string          // sorted absolute paths of the non-test .go files
-	srcs      map[string][]byte // file path → raw bytes (from the scan)
-	deps      []string          // module-internal imports
-	hash      string            // content hash over fileNames+srcs
-	parsed    bool
-	checked   bool
+	srcs map[string][]byte // file path → raw bytes
+	deps []string          // module-internal imports
 }
 
-// Hash returns the hex content hash of the package's non-test sources.
-func (p *Package) Hash() string { return p.hash }
-
-// Module is the scanned Go module under analysis.
+// Module is the loaded Go module under analysis.
 type Module struct {
 	Path  string // module path from go.mod
 	Dir   string // directory containing go.mod
@@ -49,31 +41,25 @@ type Module struct {
 	Fset  *token.FileSet
 	Pkgs  []*Package // topologically sorted, dependencies first
 
-	byPath   map[string]*Package
-	importer types.Importer
-	impMu    sync.Mutex // serializes the shared (GOROOT source) importer
+	byPath  map[string]*Package
+	exports map[string]string // non-module import path → gc export data file
+	gc      types.Importer    // reads m.exports; not safe for concurrent use
 }
 
-// LoadModule scans the module and parses + type-checks every package —
-// the full, non-incremental load used by the golden-fixture tests and by
-// callers that need every package's type information up front.
+// LoadModule loads the module at or above dir: every non-test package
+// parsed and type-checked.
 func LoadModule(dir string) (*Module, error) {
-	mod, err := ScanModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := mod.EnsureChecked(mod.Pkgs, runtime.GOMAXPROCS(0)); err != nil {
-		return nil, err
-	}
-	return mod, nil
+	return loadModule(dir, 0)
 }
 
-// ScanModule locates the go.mod at or above dir and performs the cheap
-// discovery pass: it reads every non-test .go file of the module, parses
-// import clauses only, builds the dependency graph in topological order
-// and computes per-package content hashes. No function bodies are parsed
-// and nothing is type-checked.
-func ScanModule(dir string) (*Module, error) {
+// loadModule locates the go.mod at or above dir, parses every non-test
+// file of the module on up to workers goroutines (<= 0 means
+// GOMAXPROCS), and type-checks the packages from source,
+// dependencies first, on the one shared FileSet. Imports from outside
+// the module (the standard library) are read from the gc export data
+// that one `go list -export` run reports, so nothing outside the module
+// is type-checked from source.
+func loadModule(dir string, workers int) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -83,27 +69,29 @@ func ScanModule(dir string) (*Module, error) {
 		return nil, err
 	}
 	mod := &Module{
-		Path:   modPath,
-		Dir:    root,
-		GoMod:  goMod,
-		Fset:   token.NewFileSet(),
-		byPath: make(map[string]*Package),
+		Path:    modPath,
+		Dir:     root,
+		GoMod:   goMod,
+		Fset:    token.NewFileSet(),
+		byPath:  make(map[string]*Package),
+		exports: make(map[string]string),
 	}
-	mod.importer = &moduleImporter{
-		mod: mod,
-		std: importer.ForCompiler(mod.Fset, "source", nil),
-	}
+	mod.gc = importer.ForCompiler(mod.Fset, "gc", mod.openExport)
 
-	if err := mod.scanAll(); err != nil {
-		return nil, err
-	}
-	ordered, err := mod.topoSort()
+	external, err := mod.parseAll(workers)
 	if err != nil {
 		return nil, err
 	}
-	mod.Pkgs = ordered
-	for _, pkg := range ordered {
-		pkg.hash = contentHash(pkg)
+	if mod.Pkgs, err = mod.topoSort(); err != nil {
+		return nil, err
+	}
+	if err := mod.listExports(external); err != nil {
+		return nil, err
+	}
+	for _, pkg := range mod.Pkgs {
+		if err := mod.check(pkg); err != nil {
+			return nil, err
+		}
 	}
 	return mod, nil
 }
@@ -137,16 +125,24 @@ func parseModulePath(goMod string) string {
 	return ""
 }
 
-// scanAll discovers every package directory (skipping testdata, hidden
-// and underscore-prefixed directories), reads its non-test files and
-// parses their import clauses.
-func (m *Module) scanAll() error {
-	return filepath.WalkDir(m.Dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+// inModule reports whether path names a package of this module.
+func (m *Module) inModule(path string) bool {
+	return path == m.Path || strings.HasPrefix(path, m.Path+"/")
+}
+
+// parseAll discovers every package directory (skipping testdata, hidden
+// and underscore-prefixed directories), parses its non-test files on the
+// worker pool and records each package's module-internal imports. It
+// returns the sorted import paths from outside the module.
+func (m *Module) parseAll(workers int) ([]string, error) {
+	type fileRef struct {
+		pkg  *Package
+		path string
+	}
+	var refs []fileRef // package by package, files in name order
+	err := filepath.WalkDir(m.Dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
-		}
-		if !d.IsDir() {
-			return nil
 		}
 		name := d.Name()
 		if path != m.Dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
@@ -156,79 +152,107 @@ func (m *Module) scanAll() error {
 		if err != nil {
 			return err
 		}
-		pkg := &Package{Dir: path, srcs: make(map[string][]byte)}
-		depSet := make(map[string]bool)
-		for _, e := range entries {
-			fn := e.Name()
-			if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
-				continue
-			}
-			full := filepath.Join(path, fn)
-			src, rerr := os.ReadFile(full)
-			if rerr != nil {
-				return rerr
-			}
-			// Imports-only parse: enough for the dependency graph; full
-			// ASTs are built lazily for the packages that need analysis.
-			f, perr := parser.ParseFile(token.NewFileSet(), full, src, parser.ImportsOnly)
-			if perr != nil {
-				return fmt.Errorf("lint: %w", perr)
-			}
-			pkg.fileNames = append(pkg.fileNames, full)
-			pkg.srcs[full] = src
-			for _, spec := range f.Imports {
-				ip := strings.Trim(spec.Path.Value, `"`)
-				if ip == m.Path || strings.HasPrefix(ip, m.Path+"/") {
-					depSet[ip] = true
-				}
-			}
-		}
-		if len(pkg.fileNames) == 0 {
-			return nil
-		}
-		sort.Strings(pkg.fileNames)
 		rel, err := filepath.Rel(m.Dir, path)
 		if err != nil {
 			return err
 		}
-		pkg.Path = m.Path
+		pkg := &Package{Path: m.Path, Dir: path, srcs: make(map[string][]byte)}
 		if rel != "." {
 			pkg.Path = m.Path + "/" + filepath.ToSlash(rel)
 		}
-		for dep := range depSet {
-			pkg.deps = append(pkg.deps, dep)
+		n := len(refs)
+		for _, e := range entries {
+			fn := e.Name()
+			if !e.IsDir() && strings.HasSuffix(fn, ".go") && !strings.HasSuffix(fn, "_test.go") {
+				refs = append(refs, fileRef{pkg, filepath.Join(path, fn)})
+			}
 		}
-		sort.Strings(pkg.deps)
-		m.byPath[pkg.Path] = pkg
+		if len(refs) > n {
+			m.byPath[pkg.Path] = pkg
+		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+
+	// token.FileSet is safe for concurrent use, so every file of the
+	// module parses in parallel.
+	files := make([]*ast.File, len(refs))
+	srcs := make([][]byte, len(refs))
+	errs := make([]error, len(refs))
+	pool.Run(workers, len(refs), func(i int) {
+		srcs[i], files[i], errs[i] = m.parseFile(refs[i].path)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	for i, r := range refs {
+		r.pkg.Files = append(r.pkg.Files, files[i])
+		r.pkg.srcs[r.path] = srcs[i]
+	}
+	external := make(map[string]bool)
+	for _, pkg := range m.byPath {
+		deps := make(map[string]bool)
+		for _, f := range pkg.Files {
+			for _, ip := range importPaths(f) {
+				if m.inModule(ip) {
+					deps[ip] = true
+				} else {
+					external[ip] = true
+				}
+			}
+		}
+		pkg.deps = sortedKeys(deps)
+	}
+	return sortedKeys(external), nil
 }
 
-// contentHash digests the package's file names and bytes.
-func contentHash(pkg *Package) string {
-	h := sha256.New()
-	for _, fn := range pkg.fileNames {
-		fmt.Fprintf(h, "%s\x00%d\x00", filepath.Base(fn), len(pkg.srcs[fn]))
-		h.Write(pkg.srcs[fn])
+// parseFile reads and fully parses one file into the module's FileSet.
+func (m *Module) parseFile(path string) ([]byte, *ast.File, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lint: %w", err)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	f, err := parser.ParseFile(m.Fset, path, src, parser.ParseComments)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lint: %w", err)
+	}
+	return src, f, nil
+}
+
+// importPaths returns the unquoted import paths of f.
+func importPaths(f *ast.File) []string {
+	paths := make([]string, 0, len(f.Imports))
+	for _, spec := range f.Imports {
+		if ip, err := strconv.Unquote(spec.Path.Value); err == nil {
+			paths = append(paths, ip)
+		}
+	}
+	return paths
+}
+
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // topoSort orders packages dependencies-first so type-checking can
 // resolve module-internal imports from already-checked packages.
 func (m *Module) topoSort() ([]*Package, error) {
-	paths := make([]string, 0, len(m.byPath))
-	for p := range m.byPath {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-
 	const (
 		unvisited = 0
 		visiting  = 1
 		done      = 2
 	)
-	state := make(map[string]int, len(paths))
+	state := make(map[string]int, len(m.byPath))
 	var ordered []*Package
 	var visit func(path string) error
 	visit = func(path string) error {
@@ -252,6 +276,11 @@ func (m *Module) topoSort() ([]*Package, error) {
 		ordered = append(ordered, pkg)
 		return nil
 	}
+	paths := make([]string, 0, len(m.byPath))
+	for p := range m.byPath {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
 	for _, p := range paths {
 		if err := visit(p); err != nil {
 			return nil, err
@@ -260,127 +289,70 @@ func (m *Module) topoSort() ([]*Package, error) {
 	return ordered, nil
 }
 
-// closure returns targets plus all their transitive module-internal
-// dependencies, in the module's topological order.
-func (m *Module) closure(targets []*Package) []*Package {
-	need := make(map[*Package]bool)
-	var add func(p *Package)
-	add = func(p *Package) {
-		if need[p] {
-			return
-		}
-		need[p] = true
-		for _, dep := range p.deps {
-			add(m.byPath[dep])
+// listExports asks the go command, in one run, for the gc export data
+// of the given import paths and their dependencies (building any that
+// are missing from the build cache) and records where each file is.
+// Paths already recorded are not listed again; packages the go command
+// cannot resolve are left out, so importing them fails type-checking.
+func (m *Module) listExports(paths []string) error {
+	var missing []string
+	for _, p := range paths {
+		if _, ok := m.exports[p]; !ok {
+			missing = append(missing, p)
 		}
 	}
-	for _, p := range targets {
-		add(p)
-	}
-	out := make([]*Package, 0, len(need))
-	for _, p := range m.Pkgs {
-		if need[p] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// parse builds the package's full ASTs (with comments) from the bytes
-// captured at scan time.
-func (m *Module) parse(pkg *Package) error {
-	if pkg.parsed {
+	if len(missing) == 0 {
 		return nil
 	}
-	for _, fn := range pkg.fileNames {
-		f, err := parser.ParseFile(m.Fset, fn, pkg.srcs[fn], parser.ParseComments)
-		if err != nil {
-			return fmt.Errorf("lint: %w", err)
-		}
-		pkg.Files = append(pkg.Files, f)
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export"}, missing...)...)
+	cmd.Dir = m.Dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list -export: %w\n%s", err, stderr.Bytes())
 	}
-	pkg.parsed = true
-	return nil
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("lint: go list -export output: %w", err)
+		}
+		if p.Export != "" {
+			m.exports[p.ImportPath] = p.Export
+		}
+	}
 }
 
-// EnsureChecked parses and type-checks the given packages plus their
-// transitive module-internal dependencies, running up to workers
-// type-checks concurrently. Packages are scheduled dependencies-first:
-// a package starts checking only after every dependency has finished,
-// so the shared module importer always resolves internal imports from
-// completed packages. Already-checked packages are skipped, making the
-// call idempotent and incremental.
-func (m *Module) EnsureChecked(targets []*Package, workers int) error {
-	if workers < 1 {
-		workers = 1
+// openExport is the gc importer's lookup: the export data file of an
+// import path from outside the module.
+func (m *Module) openExport(path string) (io.ReadCloser, error) {
+	file, ok := m.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("lint: no export data for %q", path)
 	}
-	need := m.closure(targets)
-	var todo []*Package
-	for _, pkg := range need {
-		if !pkg.checked {
-			todo = append(todo, pkg)
-		}
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	// token.FileSet is internally synchronized, so the full parses can
-	// proceed concurrently before any type-checking starts.
-	if err := runLimited(todo, workers, m.parse); err != nil {
-		return err
-	}
-
-	done := make(map[*Package]chan struct{}, len(todo))
-	for _, pkg := range todo {
-		done[pkg] = make(chan struct{})
-	}
-	errs := make([]error, len(todo))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, pkg := range todo {
-		wg.Add(1)
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			defer close(done[pkg])
-			// Wait for module-internal dependencies being checked in
-			// this round; dependencies outside todo are already checked.
-			for _, dep := range pkg.deps {
-				if ch, ok := done[m.byPath[dep]]; ok {
-					<-ch
-				}
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = m.check(pkg)
-		}(i, pkg)
-	}
-	wg.Wait()
-	// Report the first error in topological order so the message is
-	// deterministic and names the root cause, not a dependent's
-	// importer failure.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return os.Open(file)
 }
 
-// runLimited applies fn to every package with at most workers running
-// concurrently, returning the first error in slice order.
-func runLimited(pkgs []*Package, workers int, fn func(*Package) error) error {
-	errs := make([]error, len(pkgs))
-	pool.Run(workers, len(pkgs), func(i int) { errs[i] = fn(pkgs[i]) })
-	for _, err := range errs {
-		if err != nil {
-			return err
+// Import resolves module-internal imports from the already type-checked
+// packages and everything else from export data.
+func (m *Module) Import(path string) (*types.Package, error) {
+	if pkg, ok := m.byPath[path]; ok {
+		if pkg.Types == nil {
+			return nil, fmt.Errorf("lint: %s imported before it was checked (cycle?)", path)
 		}
+		return pkg.Types, nil
 	}
-	return nil
+	if m.inModule(path) {
+		return nil, fmt.Errorf("lint: module package %s not found", path)
+	}
+	return m.gc.Import(path)
 }
 
-// check type-checks pkg with full info recording. Dependencies must be
-// checked already (EnsureChecked's scheduler guarantees it).
+// check type-checks pkg with full info recording. Its module-internal
+// dependencies must be checked already.
 func (m *Module) check(pkg *Package) error {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -388,14 +360,13 @@ func (m *Module) check(pkg *Package) error {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: m.importer}
+	conf := types.Config{Importer: m}
 	tpkg, err := conf.Check(pkg.Path, m.Fset, pkg.Files, info)
 	if err != nil {
 		return fmt.Errorf("lint: type-checking %s: %w", pkg.Path, err)
 	}
 	pkg.Types = tpkg
 	pkg.Info = info
-	pkg.checked = true
 	return nil
 }
 
@@ -408,58 +379,29 @@ func (m *Module) check(pkg *Package) error {
 // type info.
 func (m *Module) CheckPackage(path string, filenames []string, typecheck bool) (*Package, error) {
 	pkg := &Package{Path: path, srcs: make(map[string][]byte)}
+	var external []string
 	for _, fn := range filenames {
-		src, err := os.ReadFile(fn)
+		src, f, err := m.parseFile(fn)
 		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		f, perr := parser.ParseFile(m.Fset, fn, src, parser.ParseComments)
-		if perr != nil {
-			return nil, fmt.Errorf("lint: %w", perr)
+			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.fileNames = append(pkg.fileNames, fn)
 		pkg.srcs[fn] = src
+		for _, ip := range importPaths(f) {
+			if !m.inModule(ip) {
+				external = append(external, ip)
+			}
+		}
 	}
-	pkg.parsed = true
 	if !typecheck {
 		pkg.Info = &types.Info{}
 		return pkg, nil
+	}
+	if err := m.listExports(external); err != nil {
+		return nil, err
 	}
 	if err := m.check(pkg); err != nil {
 		return nil, err
 	}
 	return pkg, nil
-}
-
-// moduleImporter resolves module-internal imports from the already
-// type-checked packages and everything else from GOROOT source. The
-// GOROOT source importer is not safe for concurrent use, so ImportFrom
-// serializes on the module's importer lock; its internal package cache
-// keeps repeat imports cheap.
-type moduleImporter struct {
-	mod *Module
-	std types.Importer
-}
-
-func (mi *moduleImporter) Import(path string) (*types.Package, error) {
-	return mi.ImportFrom(path, "", 0)
-}
-
-func (mi *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if pkg, ok := mi.mod.byPath[path]; ok {
-		if pkg.Types == nil {
-			return nil, fmt.Errorf("lint: %s imported before it was checked (cycle?)", path)
-		}
-		return pkg.Types, nil
-	}
-	if path == mi.mod.Path || strings.HasPrefix(path, mi.mod.Path+"/") {
-		return nil, fmt.Errorf("lint: module package %s not found", path)
-	}
-	mi.mod.impMu.Lock()
-	defer mi.mod.impMu.Unlock()
-	if from, ok := mi.std.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, dir, mode)
-	}
-	return mi.std.Import(path)
 }

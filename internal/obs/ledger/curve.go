@@ -97,37 +97,29 @@ func (g *latencyGroup) add(step int) {
 	g.stepCount[step]++
 }
 
-// stats freezes the group into its served form, bucketing over [0, hi)
-// where hi is the stimulus duration when known, else max+1.
+// stats freezes the group into its served form, bucketing steps
+// 0..last, where last is the stimulus's final step when known, else the
+// group's largest step, into at most latencyBuckets buckets of equal
+// width ceil((last+1)/latencyBuckets) (computed without overflow) and
+// one shorter final bucket.
 func (g *latencyGroup) stats(steps int) *LatencyStats {
 	s := &LatencyStats{Count: g.count, MinStep: g.min, MaxStep: g.max}
 	if g.count == 0 {
 		return s
 	}
 	s.MeanStep = float64(g.sum) / float64(g.count)
-	hi := steps
-	if hi <= g.max {
-		hi = g.max + 1
-	}
-	n := latencyBuckets
-	if n > hi {
-		n = hi
-	}
-	width := (hi + n - 1) / n
-	buckets := make([]LatencyBucket, n)
+	last := max(steps-1, g.max)
+	width := last/latencyBuckets + 1
+	buckets := make([]LatencyBucket, last/width+1)
 	for i := range buckets {
 		buckets[i].Lo = i * width
-		buckets[i].Hi = (i + 1) * width
-		if buckets[i].Hi > hi {
-			buckets[i].Hi = hi
+		buckets[i].Hi = last + 1
+		if i < len(buckets)-1 {
+			buckets[i].Hi = buckets[i].Lo + width
 		}
 	}
 	for step, c := range g.stepCount {
-		i := step / width
-		if i >= n {
-			i = n - 1
-		}
-		buckets[i].Count += c
+		buckets[step/width].Count += c
 	}
 	s.Buckets = buckets
 	return s

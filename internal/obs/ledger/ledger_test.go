@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -250,4 +251,91 @@ func TestNewRunIDSafeAndUnique(t *testing.T) {
 	if !strings.HasPrefix(a, "campaign-simulate-") {
 		t.Errorf("run id should carry the slugged phase: %q", a)
 	}
+}
+
+// hostileJournal is a run_start over a 10-step stimulus followed by a
+// fault whose first-divergence step is the largest int64, which
+// overflows any bucket bound computed as step+1.
+const hostileJournal = `{"kind":"run_start","run":"r","name":"campaign/simulate","total":1,"attrs":{"steps":10}}
+{"kind":"fault","run":"r","fault":{"index":0,"kind":"neuron-dead","layer":0,"detected":true,"div_step":9223372036854775807}}
+`
+
+// TestReadCurveRejectsOutOfRangeSteps: a journal line with an
+// out-of-range timestep is skipped as torn instead of reaching the
+// curve fold.
+func TestReadCurveRejectsOutOfRangeSteps(t *testing.T) {
+	dir := t.TempDir()
+	journal := hostileJournal + `{"kind":"run_start","run":"r","attrs":{"steps":-3}}` + "\n"
+	if err := os.WriteFile(journalPath(dir, "r"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := obsLedgerTornLines.Value()
+	c, err := ReadCurve(dir, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obsLedgerTornLines.Value() - before; got != 2 {
+		t.Errorf("ledger_torn_lines_total advanced by %d, want 2", got)
+	}
+	if c.Steps != 10 || c.Done != 0 || c.Detected != 0 {
+		t.Errorf("out-of-range lines reached the fold: %+v", c)
+	}
+}
+
+// TestLatencyStatsLargeSteps: the bucket bounds stay ordered for any
+// divergence step the live fold can be handed.
+func TestLatencyStatsLargeSteps(t *testing.T) {
+	for _, step := range []int{0, 9, 10, maxJournalStep, math.MaxInt64 - 1} {
+		b := NewCurveBuilder("r", "campaign/simulate")
+		b.Start(1, 10)
+		b.AddFault(obs.FaultOutcome{Kind: "neuron-dead", Detected: true, DivStep: step})
+		g := b.Curve().LatencyByLayer["0"]
+		if g == nil || len(g.Buckets) == 0 {
+			t.Fatalf("step %d: no latency buckets", step)
+		}
+		total := 0
+		for i, bk := range g.Buckets {
+			if bk.Lo < 0 || bk.Hi < bk.Lo {
+				t.Errorf("step %d: bucket %d = [%d, %d)", step, i, bk.Lo, bk.Hi)
+			}
+			total += bk.Count
+		}
+		if total != 1 {
+			t.Errorf("step %d: buckets hold %d samples, want 1", step, total)
+		}
+	}
+}
+
+// FuzzReadRun: any journal bytes read back without a panic into a curve
+// whose points are strictly increasing in step and nondecreasing in
+// detections and coverage.
+func FuzzReadRun(f *testing.F) {
+	f.Add([]byte(hostileJournal))
+	dir := f.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range campaignEvents("seed") {
+		l.Emit(e)
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	real, err := os.ReadFile(journalPath(dir, "seed"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(journalPath(dir, "r"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := ReadRun(dir, "r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMonotone(t, FromEntries(entries))
+	})
 }

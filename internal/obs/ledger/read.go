@@ -13,6 +13,12 @@ import (
 // small (a fault outcome or a metadata map), so 1 MiB is generous.
 const maxJournalLine = 1 << 20
 
+// maxJournalStep bounds the timesteps a journal line may carry (a
+// stimulus duration or a first-divergence step). Real stimuli are a few
+// thousand steps long; the bound keeps corrupt or hostile values out of
+// the curve arithmetic.
+const maxJournalStep = 1 << 30
+
 // List returns the run ids with a journal under dir, sorted
 // lexicographically — which, for obs.NewRunID ids, is start-time order
 // within each phase. A missing directory lists as empty: a ledger that
@@ -38,8 +44,9 @@ func List(dir string) ([]string, error) {
 
 // ReadRun loads one run's journal entries in append order. The reader
 // is tolerant of a truncated final line (the signature a SIGKILL'd
-// writer leaves behind): unparseable lines are skipped, never fatal, so
-// rehydration always recovers the longest valid prefix.
+// writer leaves behind): unparseable lines, and lines whose timesteps
+// are out of range, are skipped, never fatal, so rehydration always
+// recovers the longest valid prefix.
 func ReadRun(dir, run string) ([]Entry, error) {
 	f, err := os.Open(journalPath(dir, run))
 	if err != nil {
@@ -56,7 +63,7 @@ func ReadRun(dir, run string) ([]Entry, error) {
 			continue
 		}
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
+		if err := json.Unmarshal(line, &e); err != nil || !e.stepsInRange() {
 			// Torn or corrupt line — keep whatever parses after it too;
 			// entries are self-describing so a lost line costs one event.
 			// Counted so rehydration loss is visible in /metrics instead
@@ -85,6 +92,19 @@ func ReadCurve(dir, run string) (Curve, error) {
 		return Curve{}, fmt.Errorf("ledger: run %s: empty journal", run)
 	}
 	return FromEntries(entries), nil
+}
+
+// stepsInRange reports whether the entry's timesteps — a fault's
+// first-divergence step and a run_start's stimulus duration — lie in
+// [-1, maxJournalStep] and [0, maxJournalStep] respectively.
+func (e Entry) stepsInRange() bool {
+	if e.Fault != nil && (e.Fault.DivStep < -1 || e.Fault.DivStep > maxJournalStep) {
+		return false
+	}
+	if steps, ok := e.Attrs["steps"].(float64); ok && (steps < 0 || steps > maxJournalStep) {
+		return false
+	}
+	return true
 }
 
 // attrInt extracts an integer attribute from a (possibly JSON-decoded)

@@ -36,14 +36,17 @@ func (n *Network) SaveWeights(w io.Writer) error {
 }
 
 // LoadWeights reads weights previously written by SaveWeights into the
-// network, which must have the identical architecture. The whole file is
-// validated first — tensor count, every tensor's length, every value
-// finite — and only then copied, so a rejected file leaves the network's
-// weights untouched.
+// network, which must have the same name and the identical architecture.
+// The whole file is validated first — network name, tensor count, every
+// tensor's length, every value finite — and only then copied, so a
+// rejected file leaves the network's weights untouched.
 func (n *Network) LoadWeights(r io.Reader) error {
 	var f weightsFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
 		return fmt.Errorf("snn: decoding weights: %w", err)
+	}
+	if f.Name != n.Name {
+		return fmt.Errorf("snn: weight file is for network %q, not %q", f.Name, n.Name)
 	}
 	ts := n.weightTensors()
 	if len(f.Tensors) != len(ts) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	ag "github.com/repro/snntest/internal/autograd"
@@ -335,6 +336,27 @@ func TestLoadWeightsRejectsWithoutPartialWrite(t *testing.T) {
 				t.Error("rejected load modified the network's weights")
 			}
 		})
+	}
+}
+
+// TestLoadWeightsRejectsOtherNetworkName: a file saved under another
+// network's name is rejected even when the architecture matches, and the
+// weights stay bit-identical.
+func TestLoadWeightsRejectsOtherNetworkName(t *testing.T) {
+	src := recurrentNet(32)
+	src.Name = "other-" + src.Name
+	var buf bytes.Buffer
+	if err := src.SaveWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := recurrentNet(33)
+	before := weightsSnapshot(dst)
+	err := dst.LoadWeights(&buf)
+	if err == nil || !strings.Contains(err.Error(), src.Name) {
+		t.Fatalf("LoadWeights error = %v, want a network-name mismatch naming %q", err, src.Name)
+	}
+	if !sameBits(before, weightsSnapshot(dst)) {
+		t.Error("rejected load modified the network's weights")
 	}
 }
 
